@@ -13,11 +13,7 @@
 //     four in-process loopback workers on the mesh topology (direct
 //     worker↔worker exchange, pipelined levels), each also measured with a
 //     4-lane per-node expansion pool (the ...2x4/...4x4 rows — the
-//     workers_per_node dimension of the scaling study);
-//   - VerifyS1Loopback2Relay: the same two-worker run on the PR-4
-//     level-synchronous coordinator relay, which also reports the
-//     frontier-exchange wire volume of the compressed codec (the mesh's
-//     loopback links pass decoded states and ship no encoded bytes).
+//     workers_per_node dimension of the scaling study).
 //
 // The distributed_scaling section records states/second per node count and
 // the speedup against both the single-node search and the recorded PR-4
@@ -68,15 +64,6 @@ type benchResult struct {
 	NumCPU       int     `json:"num_cpu,omitempty"`
 }
 
-// wireResult is the 2-node frontier-exchange volume of one S1 run.
-type wireResult struct {
-	RoutedStates   int     `json:"routed_states"`
-	FilteredStates int     `json:"filtered_states"`
-	RawBytes       int     `json:"raw_bytes"`
-	WireBytes      int     `json:"wire_bytes"`
-	SavedFraction  float64 `json:"saved_fraction"`
-}
-
 // scalingEntry is one cluster-shape measurement of the
 // distributed_scaling study: S1 throughput at a node count and per-node
 // worker-pool size, with speedups against the single-node search and the
@@ -85,7 +72,7 @@ type wireResult struct {
 // trajectory.
 type scalingEntry struct {
 	Nodes           int     `json:"nodes"`
-	Topology        string  `json:"topology"` // "local", "mesh" or "relay"
+	Topology        string  `json:"topology"` // "local" or "mesh"
 	WorkersPerNode  int     `json:"workers_per_node"`
 	CoresTotal      int     `json:"cores_total"`
 	StatesPerSec    float64 `json:"states_per_sec"`
@@ -116,14 +103,9 @@ type report struct {
 	Generated string `json:"generated"`
 	// Baseline is the pre-PR-4 measurement of VerifyS1 (the allocating
 	// expansion core), recorded once so later runs always compare against
-	// the same anchor. The pre-PR wire volume is RawBytes by construction
-	// (the fixed-width format shipped every routed state).
+	// the same anchor.
 	Baseline benchResult   `json:"baseline_verify_s1_pr3"`
 	Current  []benchResult `json:"current"`
-	// Wire is the two-node relay run's exchange volume — the codec path;
-	// mesh loopback links pass decoded states, so their shipped bytes
-	// equal the raw volume by construction.
-	Wire wireResult `json:"wire_2node_s1_relay"`
 	// Scaling is the distributed throughput study: states/second per node
 	// count, against BaselineLB2 — the PR-4 two-node loopback relay
 	// measurement, recorded once.
@@ -132,8 +114,8 @@ type report struct {
 	// LaneScaling is the workers-per-node study with contention counters —
 	// the PR-10 lock-free set / work-stealing trajectory.
 	LaneScaling []laneScalingEntry `json:"lane_scaling"`
-	BRatio      float64        `json:"b_per_op_improvement"`
-	AllocsRat   float64        `json:"allocs_per_op_improvement"`
+	BRatio      float64            `json:"b_per_op_improvement"`
+	AllocsRat   float64            `json:"allocs_per_op_improvement"`
 }
 
 // baselineS1 is the pre-PR-4 VerifyS1 measurement (PR-3 tree, same host
@@ -275,8 +257,7 @@ func main() {
 
 	// Distributed S1: the mesh topology at two and four loopback workers,
 	// each at per-node expansion pools of 1 and 4 lanes (the node-scaling ×
-	// core-scaling study), plus the two-worker relay for the wire-volume
-	// numbers of the compressed codec path.
+	// core-scaling study).
 	var mesh2w1, mesh2w4, mesh4w1 benchResult
 	meshRun := func(name string, n, workers int) benchResult {
 		fmt.Fprintf(os.Stderr, "bench: %s (%d-node mesh, %d workers/node)...\n", name, n, workers)
@@ -330,30 +311,6 @@ func main() {
 	mesh4w1 = meshRun("VerifyS1Loopback4", 4, 1)
 	mesh4w4 := meshRun("VerifyS1Loopback4x4", 4, 4)
 
-	fmt.Fprintln(os.Stderr, "bench: VerifyS1Loopback2Relay (2-node relay)...")
-	ts := dverify.Loopback(2)
-	defer dverify.Close(ts)
-	runner := dverify.Runner(ts)
-	var wire verify.WireStats
-	relayRun := func() (verify.Result, error) {
-		res, err := verify.Slot(s1, verify.Config{
-			NondetTies: true, Workers: 1, Distributed: runner, DistTopology: verify.TopologyRelay})
-		wire = res.Wire
-		return res, err
-	}
-	if _, err := relayRun(); err != nil { // warm fleet, as for the mesh rows
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	relay := measure("VerifyS1Loopback2Relay", &states, relayRun)
-	rep.Current = append(rep.Current, relay)
-	rep.Scaling = append(rep.Scaling, scalingEntry{
-		Nodes: 2, Topology: "relay", WorkersPerNode: 1, CoresTotal: 2,
-		StatesPerSec:    relay.StatesPerSec,
-		SpeedupVsSingle: relay.StatesPerSec / single,
-		SpeedupVsPR4:    relay.StatesPerSec / baselineLoopback2PR4,
-	})
-
 	// Alloc-trend gate: per-op allocations of the loopback mesh must stay
 	// roughly flat in the node count (each node recycles its inbox batches
 	// and frontier buckets; only per-link structures scale). Before the
@@ -390,13 +347,6 @@ func main() {
 			runtime.GOMAXPROCS(0), mesh2w4.StatesPerSec, mesh2w1.StatesPerSec)
 		os.Exit(1)
 	}
-	rep.Wire = wireResult{
-		RoutedStates:   wire.RoutedStates,
-		FilteredStates: wire.FilteredStates,
-		RawBytes:       wire.RawBytes,
-		WireBytes:      wire.WireBytes,
-		SavedFraction:  1 - float64(wire.WireBytes)/float64(wire.RawBytes),
-	}
 	cur := rep.Current[0]
 	rep.BRatio = float64(rep.Baseline.BPerOp) / float64(cur.BPerOp)
 	rep.AllocsRat = float64(rep.Baseline.AllocsPerOp) / float64(cur.AllocsPerOp)
@@ -416,8 +366,7 @@ func main() {
 		fmt.Printf("  %-22s %8.0f states/s  %12d B/op  %9d allocs/op\n",
 			c.Name, c.StatesPerSec, c.BPerOp, c.AllocsPerOp)
 	}
-	fmt.Printf("  vs baseline: B/op ×%.1f, allocs/op ×%.0f; 2-node relay wire %.0f%% below raw\n",
-		rep.BRatio, rep.AllocsRat, 100*rep.Wire.SavedFraction)
+	fmt.Printf("  vs baseline: B/op ×%.1f, allocs/op ×%.0f\n", rep.BRatio, rep.AllocsRat)
 	for _, s := range rep.Scaling {
 		fmt.Printf("  scaling: %d-node %-5s ×%d workers (%2d cores) %8.0f states/s  ×%.2f vs single  ×%.2f vs PR-4 loopback2\n",
 			s.Nodes, s.Topology, s.WorkersPerNode, s.CoresTotal, s.StatesPerSec, s.SpeedupVsSingle, s.SpeedupVsPR4)

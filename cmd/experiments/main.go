@@ -22,10 +22,9 @@
 //
 //	-nodes K / -connect a,b   run every slot verification on the distributed
 //	                          backend (K in-process loopback workers, or
-//	                          cmd/verifyd daemons over TCP); -maxstates then
-//	                          budgets states per node, and -mesh=false drops
-//	                          from the default worker↔worker mesh exchange
-//	                          to the level-synchronous coordinator relay
+//	                          cmd/verifyd daemons over TCP, exchanging
+//	                          frontiers over the worker↔worker mesh);
+//	                          -maxstates then budgets states per node
 //	-cachefile warm.bin       persist the -synthetic admission cache across
 //	                          invocations (config-salted, safe across runs)
 //	-granularity-sweep l,h,s  re-dimension the -synthetic workload at every
@@ -76,7 +75,6 @@ func main() {
 		maxStates  = flag.Int("maxstates", 30_000_000, "per-admission state budget for -synthetic (per node when distributed); busted checks are rejected conservatively")
 		nodes      = flag.Int("nodes", 0, "distribute slot verification over K in-process loopback workers (0 = local)")
 		connect    = flag.String("connect", "", "distribute slot verification over verifyd workers at these comma-separated addresses")
-		meshF      = flag.Bool("mesh", true, "distributed topology: worker↔worker mesh with pipelined levels (false = level-synchronous coordinator relay)")
 		cachefile  = flag.String("cachefile", "", "load/save the -synthetic admission cache at this path (warm starts across runs)")
 		granSweep  = flag.String("granularity-sweep", "", "with -synthetic: re-dimension at every Tw granularity lo,hi,step (e.g. 1,8,1)")
 	)
@@ -122,9 +120,6 @@ func main() {
 	if ts != nil {
 		defer dverify.Close(ts)
 		distRunner, distNodes = dverify.Runner(ts), len(ts)
-		if !*meshF {
-			distTopology = verify.TopologyRelay
-		}
 		fmt.Println(clusterDesc)
 	}
 	if *synthetic > 0 {
@@ -173,9 +168,8 @@ var workers int
 // distributed backend, and distNodes salts budget-dependent cache keys
 // (the per-node budget scales aggregate capacity with the cluster size).
 var (
-	distRunner   func([]*switching.Profile, verify.Config) (verify.Result, error)
-	distNodes    int
-	distTopology verify.DistTopology
+	distRunner func([]*switching.Profile, verify.Config) (verify.Result, error)
+	distNodes  int
 )
 
 // admissionCache memoizes slot-admission verdicts across the experiments of
@@ -187,7 +181,7 @@ var admissionCache = mapping.NewCache()
 // over the -nodes/-connect cluster).
 func slotVerify(ps []*switching.Profile) (bool, error) {
 	res, err := verify.Slot(ps, verify.Config{NondetTies: true, Workers: workers,
-		Distributed: distRunner, DistTopology: distTopology})
+		Distributed: distRunner})
 	if err != nil {
 		return false, err
 	}
@@ -544,7 +538,7 @@ func syntheticAdmission(budget int) (mapping.VerifyFunc, *admissionStats) {
 		t0 := time.Now()
 		res, err := verify.Slot(set, verify.Config{
 			NondetTies: true, SymmetryReduction: true, Workers: workers,
-			MaxStates: budget, Distributed: distRunner, DistTopology: distTopology})
+			MaxStates: budget, Distributed: distRunner})
 		stats.verifySecs += time.Since(t0).Seconds()
 		stats.statesExplored += res.States
 		stats.wire.Add(res.Wire)

@@ -6,7 +6,7 @@
 //
 //	verifyslot -apps C1,C5,C4,C3 [-bounded] [-ta] [-lazy] [-workers N]
 //	           [-maxstates N] [-nodes K | -connect host:port,host:port]
-//	           [-mesh=false] [-json] [-tracefile out.json]
+//	           [-json] [-tracefile out.json]
 //	           [-cpuprofile out.pprof] [-memprofile out.pprof]
 //	           [-mutexprofile out.pprof] [-blockprofile out.pprof]
 //
@@ -15,16 +15,16 @@
 // document instead of grepping rate= out of the stats line. -tracefile
 // writes the same trace to a file while keeping the text output, so CI
 // can assert on both. Both flags record the run with an internal/obs
-// trace; level spans come from whichever driver ran (local, relay, mesh).
+// trace; level spans come from whichever driver ran (local or mesh).
 //
 // The verdict is computed with the sharded parallel BFS, or — with -nodes
 // or -connect — with the distributed backend of internal/dverify: -nodes K
 // runs K in-process loopback workers, -connect drives cmd/verifyd daemons
-// over TCP. Distributed runs default to the worker↔worker mesh topology
-// (direct node↔node frontier links, pipelined asynchronous levels);
-// -mesh=false falls back to the level-synchronous relay through the
-// coordinator. In distributed runs -maxstates is a per-node budget, so a
-// cluster of K workers admits slots up to K times larger than one node.
+// over TCP. Distributed runs exchange frontiers over the worker↔worker
+// mesh (direct node↔node links, pipelined asynchronous levels) while the
+// coordinator only polls counters. In distributed runs -maxstates is a
+// per-node budget, so a cluster of K workers admits slots up to K times
+// larger than one node.
 // When a violation is found, the counterexample schedule is reconstructed
 // with a second, local sequential traced run (tracing needs deterministic
 // in-process parent pointers).
@@ -98,7 +98,6 @@ func run() int {
 	connectBackoff := flag.Duration("connect-backoff", 500*time.Millisecond, "base backoff between -connect dial attempts (doubled per attempt, capped at 10s)")
 	ft := flag.Bool("ft", false, "fault-tolerant distributed run: survive worker deaths by shard reassignment and rollback (see -ftdir)")
 	ftdir := flag.String("ftdir", "", "checkpoint directory for -ft runs, visible to every worker (empty = recovery restarts the search)")
-	mesh := flag.Bool("mesh", true, "distributed topology: worker↔worker mesh with pipelined levels (false = level-synchronous coordinator relay)")
 	server := flag.String("server", "", "submit to an admission service at this base URL (e.g. http://host:9833) instead of verifying locally")
 	serverRetries := flag.Int("server-retries", 0, "retry -server submits refused with 503 (drain, full queue) this many times, honoring Retry-After")
 	jsonOut := flag.Bool("json", false, "emit the run report as JSON (the per-run trace: verdict, per-level table, wire stats) instead of text")
@@ -212,9 +211,6 @@ func run() int {
 	}
 	if *lazy {
 		cfg.Policy = sched.PreemptLazy
-	}
-	if !*mesh {
-		cfg.DistTopology = verify.TopologyRelay
 	}
 	var dialLogf func(format string, args ...any)
 	if !*jsonOut {

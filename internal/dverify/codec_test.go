@@ -252,30 +252,36 @@ func TestProtocolVersionHandshake(t *testing.T) {
 		Profiles: []switching.Profile{*prof("A", 5, 2, 4, 20)},
 		NumNodes: 1,
 	}
-	if _, _, err := newNode(&job, nil); err == nil {
+	env := loopEnv{&loopGroup{sessions: map[uint64]*loopSession{}}}
+	if _, _, err := newMeshWorker(&job, env, nil); err == nil {
 		t.Fatal("node accepted a protocol-0 job")
 	}
 	job.Proto = protoVersion
-	if _, _, err := newNode(&job, nil); err != nil {
+	mw, _, err := newMeshWorker(&job, env, nil)
+	if err != nil {
 		t.Fatalf("node rejected the current protocol: %v", err)
 	}
+	mw.shutdown()
 
 	// A stale worker: answers Init like PR-3 (no Proto echo).
-	stale := transportFunc(func(req *Request) (*Response, error) {
-		return &Response{ViolApp: -1, Fresh: 1, Next: 1}, nil
-	})
-	_, err := Verify([]*switching.Profile{prof("A", 5, 2, 4, 20)}, verify.Config{NondetTies: true},
+	stale := staleTransport{Loopback(1)[0]}
+	defer stale.Close()
+	_, err = Verify([]*switching.Profile{prof("A", 5, 2, 4, 20)}, verify.Config{NondetTies: true},
 		[]Transport{stale})
 	if err == nil || !strings.Contains(err.Error(), "protocol") {
 		t.Fatalf("coordinator accepted a protocol-0 worker (err=%v)", err)
 	}
 }
 
-// transportFunc adapts a function to the Transport interface.
-type transportFunc func(*Request) (*Response, error)
+// staleTransport answers every call like a worker that predates the
+// version handshake (no Proto echo). It unwraps to a live loopback node,
+// so the cluster forms a mesh and the handshake is what fails.
+type staleTransport struct{ Transport }
 
-func (f transportFunc) Call(req *Request) (*Response, error) { return f(req) }
-func (f transportFunc) Close() error                         { return nil }
+func (s staleTransport) Call(*Request) (*Response, error) {
+	return &Response{ViolApp: -1, Fresh: 1}, nil
+}
+func (s staleTransport) Unwrap() Transport { return s.Transport }
 
 // TestFlateWriterReuse guards the codec's reused flate coder pair against
 // state leaking between batches.

@@ -43,7 +43,7 @@ func verifyOver(t *testing.T, nodes int, ps []*switching.Profile, cfg verify.Con
 }
 
 // equivalenceCases is the distributed-vs-local matrix shared by the
-// topology tests: schedulable and violating sets on both encodings, at
+// mesh tests: schedulable and violating sets on both encodings, at
 // the n = 6/7/12 boundaries, with and without the symmetry quotient.
 var equivalenceCases = []struct {
 	name string
@@ -103,10 +103,9 @@ func checkMatchesLocal(t *testing.T, label string, dist, local verify.Result) {
 	}
 }
 
-// TestLoopbackMatchesLocal is the distributed-vs-local equivalence matrix
-// of the issue, run on both exchange topologies: 1/2/4 loopback nodes
-// must reproduce the local results bit-identically over the pipelined
-// mesh and over the level-synchronous relay.
+// TestLoopbackMatchesLocal is the distributed-vs-local equivalence matrix:
+// 1/2/4 loopback nodes must reproduce the local results bit-identically
+// over the pipelined mesh.
 func TestLoopbackMatchesLocal(t *testing.T) {
 	for _, tc := range equivalenceCases {
 		ps := tc.ps()
@@ -115,16 +114,12 @@ func TestLoopbackMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: local: %v", tc.name, err)
 		}
-		for _, topo := range []verify.DistTopology{verify.TopologyMesh, verify.TopologyRelay} {
-			cfg := cfg
-			cfg.DistTopology = topo
-			for _, nodes := range []int{1, 2, 4} {
-				dist, err := verifyOver(t, nodes, ps, cfg)
-				if err != nil {
-					t.Fatalf("%s: %s nodes=%d: %v", tc.name, topo, nodes, err)
-				}
-				checkMatchesLocal(t, fmt.Sprintf("%s: %s nodes=%d", tc.name, topo, nodes), dist, local)
+		for _, nodes := range []int{1, 2, 4} {
+			dist, err := verifyOver(t, nodes, ps, cfg)
+			if err != nil {
+				t.Fatalf("%s: mesh nodes=%d: %v", tc.name, nodes, err)
 			}
+			checkMatchesLocal(t, fmt.Sprintf("%s: mesh nodes=%d", tc.name, nodes), dist, local)
 		}
 	}
 }
@@ -230,7 +225,9 @@ func TestTCPEndToEnd(t *testing.T) {
 }
 
 // flakyTransport fails every Call after the first failAfter ones,
-// simulating a worker crash mid-protocol.
+// simulating a worker crash mid-protocol. It unwraps to the transport it
+// wraps, so the cluster still forms a mesh: control calls pass through the
+// wrapper, data links come from the node underneath.
 type flakyTransport struct {
 	inner     Transport
 	calls     int
@@ -245,15 +242,16 @@ func (f *flakyTransport) Call(req *Request) (*Response, error) {
 	return f.inner.Call(req)
 }
 
-func (f *flakyTransport) Close() error { return f.inner.Close() }
+func (f *flakyTransport) Close() error      { return f.inner.Close() }
+func (f *flakyTransport) Unwrap() Transport { return f.inner }
 
 // TestWorkerFailureMidLevelErrorsCleanly injects a worker failure after
-// init (i.e. during the level exchange) and requires a clean error — not a
-// hang — naming the failed node.
+// init (i.e. on the mesh control plane, mid-search) and requires a clean
+// error — not a hang — naming the failed node.
 func TestWorkerFailureMidLevelErrorsCleanly(t *testing.T) {
 	ts := Loopback(2)
 	defer Close(ts)
-	ts[1] = &flakyTransport{inner: ts[1], failAfter: 1} // init succeeds, first step fails
+	ts[1] = &flakyTransport{inner: ts[1], failAfter: 1} // init succeeds, first poll fails
 
 	done := make(chan error, 1)
 	go func() {
@@ -312,16 +310,23 @@ func TestWorkerDisconnectTCP(t *testing.T) {
 	}
 }
 
-// errTransport answers every call with a worker-side error response.
-type errTransport struct{ msg string }
+// errTransport answers every call with a worker-side error response. It
+// unwraps to a live loopback node, so the cluster forms a mesh and the
+// error response is what fails the run.
+type errTransport struct {
+	inner Transport
+	msg   string
+}
 
 func (e *errTransport) Call(*Request) (*Response, error) { return &Response{Err: e.msg}, nil }
-func (e *errTransport) Close() error                     { return nil }
+func (e *errTransport) Close() error                     { return e.inner.Close() }
+func (e *errTransport) Unwrap() Transport                { return e.inner }
 
 // TestWorkerErrResponse propagates worker-side Err responses as
 // coordinator errors.
 func TestWorkerErrResponse(t *testing.T) {
-	ts := []Transport{&errTransport{msg: "boom"}}
+	ts := []Transport{&errTransport{inner: Loopback(1)[0], msg: "boom"}}
+	defer Close(ts)
 	if _, err := Verify(fleet(2, 6, 1, 2, 10), verify.Config{}, ts); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want the worker error surfaced, got %v", err)
 	}

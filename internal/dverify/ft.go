@@ -4,9 +4,8 @@ package dverify
 // fault-injection harness.
 //
 // Ownership tables. Routing in a fault-tolerant run goes through an
-// explicit 64-entry table (shard → owning node) instead of the closed
-// formula owner() computes. A fresh run uses the contiguous default
-// (identical to owner()'s ranges, so non-FT runs are unchanged); on
+// explicit 64-entry table (shard → owning node). A fresh run uses the
+// contiguous default (the same ranges non-FT runs route by); on
 // recovery the coordinator rewrites the table so survivors absorb a dead
 // node's shards, and every worker routes by the new table from the next
 // era on.
@@ -56,8 +55,11 @@ const numShards = 64
 // Package variable so tests can shrink it.
 var meshDeathTimeout = 30 * time.Second
 
-// defaultOwners builds the contiguous ownership table owner() implies:
-// node i owns shards [i·64/n, (i+1)·64/n).
+// defaultOwners builds the contiguous ownership table: node i owns hash
+// shards [i·64/n, (i+1)·64/n), the shard being a state hash's top six bits
+// (the same selector as the local sharded sets). Every state has exactly
+// one owner, and only the owner stores it — the partitioning invariant
+// behind the distributed visited set.
 func defaultOwners(n int) []uint8 {
 	t := make([]uint8, numShards)
 	for s := range t {
@@ -97,17 +99,6 @@ func reassignOwners(owners []uint8, alive []bool) ([]uint8, int) {
 	}
 	return out, moved
 }
-
-// nodeError wraps a worker failure with the node index, preserving the
-// historical "dverify: node %d: ..." message while letting fault-tolerant
-// drivers recover the failing index with errors.As.
-type nodeError struct {
-	node int
-	err  error
-}
-
-func (e *nodeError) Error() string { return fmt.Sprintf("dverify: node %d: %v", e.node, e.err) }
-func (e *nodeError) Unwrap() error { return e.err }
 
 // Checkpoint segment file format: a fixed header (magic, state count,
 // transition count) followed by the level's states in verify.AppendState

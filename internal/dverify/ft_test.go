@@ -2,7 +2,7 @@ package dverify
 
 // Fault-matrix tests for the fault-tolerant distributed search: kill a
 // worker at a deterministic level across {loopback, TCP} × {2, 4 nodes}
-// × {mesh, relay}, and assert the run still finishes with a verdict,
+// on the mesh, and assert the run still finishes with a verdict,
 // state count, depth and minimal violator bit-identical to the local
 // parallel search — plus the double-fault, crash-during-checkpoint,
 // spare-adoption, severed-link, death-timeout and degraded (no
@@ -41,12 +41,11 @@ var ftCases = []struct {
 }
 
 // ftConfig is the shared fault-tolerant run configuration.
-func ftConfig(t *testing.T, topo verify.DistTopology, trace *obs.Trace) verify.Config {
+func ftConfig(t *testing.T, trace *obs.Trace) verify.Config {
 	t.Helper()
 	return verify.Config{
 		NondetTies:     true,
 		Workers:        2,
-		DistTopology:   topo,
 		FaultTolerance: true,
 		CheckpointDir:  t.TempDir(),
 		RunTrace:       trace,
@@ -55,14 +54,14 @@ func ftConfig(t *testing.T, topo verify.DistTopology, trace *obs.Trace) verify.C
 
 // runFT runs one fault-injected verification over a fresh loopback
 // cluster and asserts the exact-equivalence acceptance criterion.
-func runFT(t *testing.T, label string, ps []*switching.Profile, nodes int, topo verify.DistTopology, mkPlan func(ts []Transport) *faultPlan) *obs.Trace {
+func runFT(t *testing.T, label string, ps []*switching.Profile, nodes int, mkPlan func(ts []Transport) *faultPlan) *obs.Trace {
 	t.Helper()
 	local, err := verify.Slot(ps, verify.Config{NondetTies: true, Workers: 2})
 	if err != nil {
 		t.Fatalf("%s: local: %v", label, err)
 	}
 	trace := obs.NewTrace("")
-	cfg := ftConfig(t, topo, trace)
+	cfg := ftConfig(t, trace)
 	ts := Loopback(nodes)
 	defer Close(ts)
 	plan := mkPlan(ts)
@@ -82,22 +81,20 @@ func runFT(t *testing.T, label string, ps []*switching.Profile, nodes int, topo 
 }
 
 // TestFTKillOneWorker is the core acceptance matrix on loopback
-// clusters: for both topologies, 2- and 4-node clusters, first and last
-// victim, on a deep schedulable space and a near-root violation, killing
-// the victim at a deterministic level must leave the verdict, counts,
-// depth and minimal violator bit-identical to the local search.
+// clusters: 2- and 4-node meshes, first and last victim, on a deep
+// schedulable space and a near-root violation, killing the victim at a
+// deterministic level must leave the verdict, counts, depth and minimal
+// violator bit-identical to the local search.
 func TestFTKillOneWorker(t *testing.T) {
 	recBefore := obsRecoveries.Value()
 	for _, tc := range ftCases {
-		for _, topo := range []verify.DistTopology{verify.TopologyMesh, verify.TopologyRelay} {
-			for _, nodes := range []int{2, 4} {
-				for _, victim := range []int{0, nodes - 1} {
-					label := fmt.Sprintf("%s: %s nodes=%d victim=%d", tc.name, topo, nodes, victim)
-					runFT(t, label, tc.ps(), nodes, topo, func(ts []Transport) *faultPlan {
-						lt := ts[victim].(*loopTransport)
-						return &faultPlan{faults: []fault{{atLevel: tc.atLevel, kill: lt.die}}}
-					})
-				}
+		for _, nodes := range []int{2, 4} {
+			for _, victim := range []int{0, nodes - 1} {
+				label := fmt.Sprintf("%s: mesh nodes=%d victim=%d", tc.name, nodes, victim)
+				runFT(t, label, tc.ps(), nodes, func(ts []Transport) *faultPlan {
+					lt := ts[victim].(*loopTransport)
+					return &faultPlan{faults: []fault{{atLevel: tc.atLevel, kill: lt.die}}}
+				})
 			}
 		}
 	}
@@ -113,7 +110,7 @@ func TestFTKillEveryVictim(t *testing.T) {
 	ps := fleet(6, 5, 2, 4, 20)
 	for victim := 0; victim < 4; victim++ {
 		label := fmt.Sprintf("narrow6: mesh nodes=4 victim=%d", victim)
-		runFT(t, label, ps, 4, verify.TopologyMesh, func(ts []Transport) *faultPlan {
+		runFT(t, label, ps, 4, func(ts []Transport) *faultPlan {
 			lt := ts[victim].(*loopTransport)
 			return &faultPlan{faults: []fault{{atLevel: 3, kill: lt.die}}}
 		})
@@ -126,7 +123,7 @@ func TestFTKillEveryVictim(t *testing.T) {
 // reassigned shards (the spare inherits the victim's exact shard range).
 func TestFTSpareAdoption(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
-	trace := runFT(t, "spare adoption", ps, 4, verify.TopologyMesh, func(ts []Transport) *faultPlan {
+	trace := runFT(t, "spare adoption", ps, 4, func(ts []Transport) *faultPlan {
 		lt := ts[2].(*loopTransport)
 		return &faultPlan{
 			faults: []fault{{atLevel: 2, kill: lt.die}},
@@ -166,13 +163,13 @@ func newSpareOf(ts []Transport) Transport {
 func TestFTDoubleFault(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
 	t.Run("simultaneous", func(t *testing.T) {
-		runFT(t, "double fault (same round)", ps, 4, verify.TopologyMesh, func(ts []Transport) *faultPlan {
+		runFT(t, "double fault (same round)", ps, 4, func(ts []Transport) *faultPlan {
 			l1, l2 := ts[1].(*loopTransport), ts[2].(*loopTransport)
 			return &faultPlan{faults: []fault{{atLevel: 2, kill: func() { l1.die(); l2.die() }}}}
 		})
 	})
 	t.Run("sequential", func(t *testing.T) {
-		trace := runFT(t, "double fault (mid-takeover)", ps, 4, verify.TopologyMesh, func(ts []Transport) *faultPlan {
+		trace := runFT(t, "double fault (mid-takeover)", ps, 4, func(ts []Transport) *faultPlan {
 			l1, l2 := ts[1].(*loopTransport), ts[2].(*loopTransport)
 			return &faultPlan{faults: []fault{
 				{atLevel: 2, kill: l1.die},
@@ -198,7 +195,7 @@ func TestFTCrashDuringCheckpoint(t *testing.T) {
 	}
 	defer func() { ckptWriteHook = nil }()
 	ps := []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
-	trace := runFT(t, "crash during checkpoint", ps, 4, verify.TopologyMesh, func(ts []Transport) *faultPlan {
+	trace := runFT(t, "crash during checkpoint", ps, 4, func(ts []Transport) *faultPlan {
 		return &faultPlan{} // the hook is the fault; no transport kill
 	})
 	if len(trace.Failovers) == 0 {
@@ -217,7 +214,7 @@ func TestFTDegradedNoCheckpointDir(t *testing.T) {
 	}
 	trace := obs.NewTrace("")
 	cfg := verify.Config{
-		NondetTies: true, Workers: 2, DistTopology: verify.TopologyMesh,
+		NondetTies: true, Workers: 2,
 		FaultTolerance: true, RunTrace: trace,
 	}
 	ts := Loopback(2)
@@ -248,7 +245,7 @@ func TestFTSeverLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := obs.NewTrace("")
-	cfg := ftConfig(t, verify.TopologyMesh, trace)
+	cfg := ftConfig(t, trace)
 	ts := Loopback(2)
 	defer Close(ts)
 	var severed atomic.Bool
@@ -280,7 +277,7 @@ func TestFTDelayedDeliveryNoFalsePositive(t *testing.T) {
 	}
 	for _, nodes := range []int{2, 4} {
 		trace := obs.NewTrace("")
-		cfg := ftConfig(t, verify.TopologyMesh, trace)
+		cfg := ftConfig(t, trace)
 		ts := Loopback(nodes)
 		g := loopGroupOf(t, ts)
 		var mu sync.Mutex
@@ -305,8 +302,8 @@ func TestFTDelayedDeliveryNoFalsePositive(t *testing.T) {
 }
 
 // TestFTTCPKill runs the kill matrix over real TCP daemons sharing one
-// checkpoint directory: mesh on 2 and 4 nodes, relay on 2, with the
-// victim's listener and every accepted connection severed mid-run — the
+// checkpoint directory: meshes of 2 and 4 nodes, with the victim's
+// listener and every accepted connection severed mid-run — the
 // in-process stand-in for SIGKILLing a verifyd.
 func TestFTTCPKill(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
@@ -317,14 +314,12 @@ func TestFTTCPKill(t *testing.T) {
 	matrix := []struct {
 		nodes  int
 		victim int
-		topo   verify.DistTopology
 	}{
-		{2, 1, verify.TopologyMesh},
-		{4, 2, verify.TopologyMesh},
-		{2, 1, verify.TopologyRelay},
+		{2, 1},
+		{4, 2},
 	}
 	for _, m := range matrix {
-		label := fmt.Sprintf("tcp %s nodes=%d victim=%d", m.topo, m.nodes, m.victim)
+		label := fmt.Sprintf("tcp mesh nodes=%d victim=%d", m.nodes, m.victim)
 		listeners := make([]*trackingListener, m.nodes)
 		addrs := make([]string, m.nodes)
 		for i := range listeners {
@@ -343,7 +338,7 @@ func TestFTTCPKill(t *testing.T) {
 			t.Fatal(err)
 		}
 		trace := obs.NewTrace("")
-		cfg := ftConfig(t, m.topo, trace)
+		cfg := ftConfig(t, trace)
 		victim := listeners[m.victim]
 		plan := &faultPlan{faults: []fault{{atLevel: 2, kill: victim.kill}}}
 		done := make(chan struct{})

@@ -24,8 +24,8 @@ import (
 // lane owns a partition and steals from the busiest peer when it drains.
 //
 // stop() parks nothing: it closes the wake channels and the goroutines
-// exit. Owners stop the crew at session teardown (mesh shutdown, relay
-// handler reset) and ensure() respawns it lazily on the next parallel
+// exit. The owning worker stops the crew at session teardown (mesh
+// shutdown) and ensure() respawns it lazily on the next parallel
 // fan-out, so a standing worker pays one spawn set per session, not per
 // chunk.
 type laneCrew struct {

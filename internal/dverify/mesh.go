@@ -470,7 +470,7 @@ func (w *meshWorker) seedOrRestore(job *Job, resp *Response) error {
 		if err := w.restore(job.Cut); err != nil {
 			return err
 		}
-		resp.Fresh, resp.Next = w.fresh, 0
+		resp.Fresh = w.fresh
 		return nil
 	}
 	if init := w.exp.Initial(); int(w.owners[w.exp.Hash(init)>>58]) == w.id {
@@ -478,7 +478,7 @@ func (w *meshWorker) seedOrRestore(job *Job, resp *Response) error {
 		w.visited.Add(init)
 		w.buckets[0] = append(w.buckets[0], init)
 		w.freshAt[0] = 1
-		w.fresh, resp.Fresh, resp.Next = 1, 1, 1
+		w.fresh, resp.Fresh = 1, 1
 	}
 	return nil
 }
@@ -1831,8 +1831,9 @@ func (p *meshPoller) send(i int, req *Request) {
 
 // round sends one request to every node (the request is shared and must
 // not be mutated until the round completes) and collects the responses
-// into resps, mirroring fanout's error contract. Non-fault-tolerant
-// rounds only — every node is alive and a failure poisons the run.
+// into resps, turning transport failures and worker-side Err responses
+// into an error naming the node. Non-fault-tolerant rounds only —
+// every node is alive and a failure poisons the run.
 func (p *meshPoller) round(resps []*Response, req *Request) error {
 	for i := range p.reqs {
 		p.send(i, req)
@@ -1869,10 +1870,10 @@ func (p *meshPoller) collect(resps []*Response) error {
 			continue
 		}
 		if err != nil {
-			return &nodeError{i, err}
+			return fmt.Errorf("dverify: node %d: %w", i, err)
 		}
 		if resps[i].Err != "" {
-			return &nodeError{i, errors.New(resps[i].Err)}
+			return fmt.Errorf("dverify: node %d: %s", i, resps[i].Err)
 		}
 	}
 	return nil
@@ -2194,7 +2195,6 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 // its kills fire against tracker milestones before poll rounds.
 func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, plan *faultPlan) (verify.Result, error) {
 	res := verify.Result{Schedulable: true, Bounded: job.MaxDisturbances > 0}
-	job.Mesh = true
 	job.Session = newSessionID()
 	job.Peers = peers
 	if job.FT {
@@ -2284,7 +2284,7 @@ func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, pl
 		tr.observe(resps)
 		tr.advance()
 		if tr.tooLarge && !tr.haveViol {
-			// Report the partial exploration like the relay path does —
+			// Report the partial exploration like the local search does —
 			// budget-busted admission checks still count their states and
 			// wire volume.
 			if final, ferr := finish(); ferr == nil {
@@ -2298,7 +2298,7 @@ func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, pl
 			return res, verify.ErrTooLarge
 		}
 		if tr.terminated() || (tr.tooLarge && tr.haveViol) {
-			// As in the relay path, a recorded violation is preferred over
+			// As in the local search, a recorded violation is preferred over
 			// ErrTooLarge when the budget trips: the verdict is sound, but
 			// on the budget edge the violator may not be the level minimum
 			// a larger budget would report.

@@ -1,6 +1,7 @@
 package dverify
 
 import (
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tightcps/internal/obs"
 	"tightcps/internal/verify"
 )
 
@@ -35,7 +37,7 @@ func TestMeshDelayedAbsorbInterleavings(t *testing.T) {
 	for _, tc := range equivalenceCases {
 		ps := tc.ps()
 		cfg := verify.Config{NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md,
-			Workers: 4, DistTopology: verify.TopologyMesh}
+			Workers: 4}
 		local, err := verify.Slot(ps, cfg)
 		if err != nil {
 			t.Fatalf("%s: local: %v", tc.name, err)
@@ -202,7 +204,7 @@ func TestMeshLinkFaultInjection(t *testing.T) {
 		return nil
 	}
 
-	cfg := verify.Config{NondetTies: true, DistTopology: verify.TopologyMesh}
+	cfg := verify.Config{NondetTies: true}
 	done := make(chan error, 1)
 	go func() {
 		_, err := Verify(fleet(3, 6, 1, 2, 10), cfg, ts)
@@ -284,7 +286,7 @@ func TestMeshWorkerCrashMidEpoch(t *testing.T) {
 	time.AfterFunc(100*time.Millisecond, l1.kill)
 	done := make(chan error, 1)
 	go func() {
-		_, err := Verify(fleet(4, 8, 2, 4, 40), verify.Config{NondetTies: true, DistTopology: verify.TopologyMesh}, ts)
+		_, err := Verify(fleet(4, 8, 2, 4, 40), verify.Config{NondetTies: true}, ts)
 		done <- err
 	}()
 	select {
@@ -297,22 +299,36 @@ func TestMeshWorkerCrashMidEpoch(t *testing.T) {
 	}
 }
 
-// TestMeshTopologyForcedOnWrappedTransports: transports the mesh cannot
-// see through (anything wrapped) fall back to the relay under
-// TopologyAuto and are refused under an explicit TopologyMesh.
+// TestMeshTopologyForcedOnWrappedTransports: a cluster whose transports
+// are wrapped (here by the fault-injection wrapper, never firing) still
+// runs the mesh — meshPeers looks through Unwrap — and reproduces the
+// local state count exactly. A transport that cannot be unwrapped to a
+// mesh-capable worker is refused up front.
 func TestMeshTopologyForcedOnWrappedTransports(t *testing.T) {
 	ts := Loopback(2)
 	defer Close(ts)
 	wrapped := []Transport{ts[0], &flakyTransport{inner: ts[1], failAfter: 1 << 30}}
 
 	ps := fleet(3, 6, 1, 2, 10)
-	if _, err := Verify(ps, verify.Config{NondetTies: true, DistTopology: verify.TopologyMesh}, wrapped); err == nil ||
-		!strings.Contains(err.Error(), "mesh") {
-		t.Fatalf("forced mesh over wrapped transports: want a mesh-capability error, got %v", err)
+	local, err := verify.Slot(ps, verify.Config{NondetTies: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := Verify(ps, verify.Config{NondetTies: true}, wrapped)
-	if err != nil || !res.Schedulable {
-		t.Fatalf("auto topology should fall back to the relay over wrapped transports: %v %+v", err, res)
+	tr := obs.NewTrace("")
+	res, err := Verify(ps, verify.Config{NondetTies: true, RunTrace: tr}, wrapped)
+	if err != nil {
+		t.Fatalf("wrapped loopback cluster: %v", err)
+	}
+	if !res.Schedulable || res.States != local.States || res.Transitions != local.Transitions || res.Depth != local.Depth {
+		t.Fatalf("wrapped mesh %+v, local %+v", res, local)
+	}
+	if tr.Backend != "mesh" || tr.Epochs <= 0 {
+		t.Fatalf("wrapped cluster ran backend %q with %d epochs, want the mesh", tr.Backend, tr.Epochs)
+	}
+
+	if _, err := Verify(ps, verify.Config{NondetTies: true}, []Transport{ts[0], okTransport{}}); err == nil ||
+		!strings.Contains(err.Error(), "mesh") {
+		t.Fatalf("opaque transport: want a mesh-capability error, got %v", err)
 	}
 }
 
@@ -421,5 +437,73 @@ func TestServerGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after the drained session closed")
+	}
+}
+
+// TestTCPPeerFrameRejectsNegativeTags: a peer frame tagged with a negative
+// level or era must surface as a link error batch in the owner's inbox —
+// never as a batch the worker would index its per-level counters with.
+func TestTCPPeerFrameRejectsNegativeTags(t *testing.T) {
+	exp, err := verify.NewExpander(fleet(2, 6, 1, 2, 10), verify.Config{NondetTies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []Frame{{Level: -1}, {Level: 1, Era: -1}} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(l, nil)
+		go srv.Serve()
+		const session = 7
+		n := &hostNode{inbox: newMeshInbox(), exp: exp}
+		if err := srv.host.register(session, 0, n); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := gob.NewEncoder(conn)
+		if err := enc.Encode(&Request{Kind: KindPeerHello, Hello: &PeerHello{
+			Proto: protoVersion, Session: session, From: 1, To: 0,
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		// A well-formed frame first: the link itself must work.
+		if err := enc.Encode(Frame{Level: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if b := nextBatch(t, n.inbox); b.err != nil || b.level != 1 {
+			t.Fatalf("valid frame: got level %d err %v", b.level, b.err)
+		}
+		if err := enc.Encode(bad); err != nil {
+			t.Fatal(err)
+		}
+		b := nextBatch(t, n.inbox)
+		if b.err == nil || !strings.Contains(b.err.Error(), "mesh link from node 1") {
+			t.Fatalf("frame %+v: want a link error batch, got level %d era %d err %v", bad, b.level, b.era, b.err)
+		}
+		conn.Close()
+		srv.Shutdown()
+	}
+}
+
+// nextBatch waits for the next batch pushed into ib.
+func nextBatch(t *testing.T, ib *meshInbox) meshBatch {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		if q := ib.drain(nil); len(q) > 0 {
+			if len(q) > 1 {
+				t.Fatalf("want one batch, got %d", len(q))
+			}
+			return q[0]
+		}
+		select {
+		case <-ib.notify:
+		case <-deadline:
+			t.Fatal("no batch reached the inbox")
+		}
 	}
 }

@@ -14,9 +14,10 @@ import (
 )
 
 // Wire protocol of the distributed search: the coordinator drives every
-// worker node through a strict Init → (Step → Absorb)* request/response
-// session. All types are plain data so the TCP transport can gob-encode
-// them without registration; the loopback transport passes them by pointer.
+// worker node through a strict Init → Poll* request/response session, and
+// workers stream Frames to each other over their mesh links. All types are
+// plain data so the TCP transport can gob-encode them without
+// registration; the loopback transport passes them by pointer.
 
 // protoVersion guards the gob envelope. The batch codec's version byte
 // covers only batch payloads; a field renamed on Request/Response would
@@ -34,31 +35,29 @@ import (
 // Workers); version 3 is the PR-5 protocol (worker↔worker mesh links,
 // pipelined levels, poll/epoch control plane); version 2 is the PR-4
 // relay protocol (per-source absorb batch lists, codec-framed); PR-3
-// binaries predate the field and present as version 0.
-const protoVersion = 6
+// binaries predate the field and present as version 0. Version 7, the
+// current one, is mesh-only: the coordinator relay's step/absorb requests
+// and batch lists, the frontier-size echo and the job's topology flag are
+// gone.
+const protoVersion = 7
 
-// Kind discriminates coordinator requests.
+// Kind discriminates coordinator requests. Values are wire numbers: 2 and
+// 3 belonged to the retired relay requests (protocol ≤ 6) and stay unused.
 type Kind uint8
 
 const (
 	// KindInit ships the job to a node, resetting any previous one.
-	KindInit Kind = iota + 1
-	// KindStep (relay topology) expands the node's current frontier one BFS
-	// level, returning hash-routed successor batches for the other nodes.
-	KindStep
-	// KindAbsorb (relay topology) delivers the routed successors owned by
-	// this node; fresh ones enter its next-level frontier.
-	KindAbsorb
-	// KindPoll (mesh topology) is one control-plane epoch: the request
+	KindInit Kind = 1
+	// KindPoll is one control-plane epoch: the request
 	// carries the coordinator's latest milestone knowledge (Control), the
 	// worker expands and exchanges frontiers over its mesh links until it
 	// has news for the coordinator (or a short time budget runs out) and
 	// answers with a counter snapshot.
-	KindPoll
+	KindPoll Kind = 4
 	// KindPeerHello opens a worker↔worker mesh link: it is the first value
 	// on a dialed peer connection (never sent on a coordinator session),
 	// followed by a stream of Frame values.
-	KindPeerHello
+	KindPeerHello Kind = 5
 )
 
 // Job describes one verification run from a single worker node's
@@ -95,10 +94,6 @@ type Job struct {
 	// the node's own GOMAXPROCS; 1 keeps the single-goroutine path.
 	Workers int
 
-	// Mesh selects the direct worker↔worker exchange: the node opens (or
-	// accepts) one data link per peer at Init and the coordinator drives
-	// it with KindPoll instead of KindStep/KindAbsorb.
-	Mesh bool
 	// Session identifies this run's mesh rendezvous: peer links carry it
 	// so a daemon serving several coordinators never cross-wires links.
 	Session uint64
@@ -132,11 +127,6 @@ type Request struct {
 	Kind Kind
 	// Job accompanies KindInit.
 	Job *Job
-	// Batches accompanies KindAbsorb: the codec-encoded frontier batches
-	// routed to this node during the current level, in ascending
-	// source-node order, empty batches omitted. Each batch is decoded
-	// independently (compressed batches cannot be concatenated byte-wise).
-	Batches [][]byte
 	// Ctl accompanies KindPoll.
 	Ctl *Control
 	// Hello accompanies KindPeerHello.
@@ -215,50 +205,39 @@ type Response struct {
 	// has no such field and presents as 0).
 	Proto int
 
-	// Batches (KindStep) holds, per destination node, the codec-encoded
-	// successors this node generated but does not own. The node's own
-	// index is always empty — self-owned successors are absorbed locally
-	// during the step.
-	Batches [][]byte
-	// Transitions counts the successors generated this level (pre-dedup),
-	// mirroring the local searches.
+	// Snapshot fields (KindPoll responses; an Init reply carries Proto and
+	// Fresh). All counters are cumulative over the session, so the
+	// coordinator's latest round is always a complete picture.
+	//
+	// Transitions counts the successors generated (pre-dedup), mirroring
+	// the local searches.
 	Transitions int
-	// Routed and Filtered count this step's foreign successors: Routed
-	// were encoded into Batches, Filtered were suppressed by the
-	// per-destination recent-state filter (the owner has provably seen
-	// them). RawBytes is the fixed-width cost of all Routed+Filtered
-	// states — the wire volume of the PR-3 format — and WireBytes the
-	// bytes actually occupied by Batches, so the coordinator can report
+	// Routed and Filtered count foreign successors: Routed were shipped
+	// to their owners, Filtered were suppressed by the per-destination
+	// recent-state filter (the owner has provably seen them). RawBytes is
+	// the fixed-width (codecRaw) cost of all Routed+Filtered states and
+	// WireBytes the bytes actually shipped, so the coordinator can report
 	// what the filter and the compressed codec saved.
 	Routed    int
 	Filtered  int
 	RawBytes  int
 	WireBytes int
-	// Fresh counts states newly added to this node's visited set by this
-	// call: self-owned successors for KindStep, routed ones for KindAbsorb,
-	// and the initial state for KindInit when this node owns it.
+	// Fresh counts the states this node has added to its visited set
+	// (including the initial state when it owns it).
 	Fresh int
-	// Next is the size of the node's next-level frontier after this call.
-	Next int
 	// TooLarge reports that the per-node visited budget was exhausted; the
-	// node stopped expanding or absorbing mid-call.
+	// node stopped committing states.
 	TooLarge bool
 
-	// Viol flags a deadline miss found while expanding this level;
-	// ViolState is the minimum violating frontier state of this node's
-	// partition (the cross-node tie-break key) and ViolApp the application
-	// that missed. In mesh snapshots ViolLevel carries the BFS level of the
-	// node's minimum violation (level-first, then state — the first-
-	// violating-level tie-break).
+	// Viol flags a deadline miss; ViolLevel is the BFS level of the node's
+	// minimum violation, ViolState its packed state (level-first, then
+	// state — the first-violating-level tie-break across nodes) and
+	// ViolApp the application that missed.
 	Viol      bool
 	ViolState verify.PackedState
 	ViolApp   int
 	ViolLevel int
 
-	// Mesh snapshot fields (KindPoll responses). All counters are
-	// cumulative over the session, so the coordinator's latest round is
-	// always a complete picture.
-	//
 	// SentByLevel and RecvByLevel count the states this node shipped to
 	// and drained from its mesh links, indexed by the BFS level of the
 	// states (self-owned successors never cross a link and are excluded
@@ -313,8 +292,9 @@ type Response struct {
 //     when it is the smallest of the three.
 //
 // Sorting a batch is sound: absorb order within a level affects neither the
-// visited partition nor the verdict (levels are barriers, and the minimum-
-// violator tie-break is order-independent).
+// visited partition nor the verdict (the mesh commit rule admits a state
+// only at its true BFS level, and the minimum-violator tie-break is
+// order-independent).
 const (
 	codecRaw   byte = 0
 	codecDelta byte = 1

@@ -13,8 +13,8 @@ import (
 
 // TCP/gob transport. The coordinator dials one long-lived connection per
 // worker daemon (cmd/verifyd) and streams the Request/Response protocol
-// over it; in the mesh topology the daemons additionally dial each other
-// at Init (one directed connection per ordered node pair, negotiated from
+// over it; the daemons additionally dial each other at Init (one
+// directed mesh connection per ordered node pair, negotiated from
 // Job.Peers) and stream level-tagged Frame batches over those links, so
 // frontier data never transits the coordinator. A worker disconnect
 // surfaces as a Call error — io.EOF or a connection reset — which aborts
@@ -416,7 +416,15 @@ func (s *Server) servePeer(conn net.Conn, dec *gob.Decoder, hello *PeerHello) {
 			}
 			return
 		}
-		states, err := codec.decode(f.Batch, getBatch())
+		// Negative tags would index the worker's per-level counters out of
+		// range; reject them like an undecodable batch.
+		var states []verify.PackedState
+		var err error
+		if f.Level < 0 || f.Era < 0 {
+			err = fmt.Errorf("frame tagged level %d, era %d", f.Level, f.Era)
+		} else {
+			states, err = codec.decode(f.Batch, getBatch())
+		}
 		if err != nil {
 			n.inbox.push(meshBatch{from: hello.From, err: fmt.Errorf("mesh link from node %d: %v", hello.From, err)})
 			return

@@ -90,9 +90,9 @@ func Fingerprint(profiles []*switching.Profile) uint64 {
 // state budget (sweeps reject conservatively on a busted budget, making
 // their cached verdicts budget-dependent) — plus any extra salts the caller
 // folds in (e.g. the cluster size of a distributed run, whose per-node
-// budget scales aggregate capacity). Workers, Trace, SymmetryReduction,
-// Distributed and DistTopology do not change verdicts and are excluded, so
-// warm caches carry across those knobs.
+// budget scales aggregate capacity). Workers, Trace, SymmetryReduction and
+// Distributed do not change verdicts and are excluded, so warm caches carry
+// across those knobs.
 func VerifyConfigKey(cfg verify.Config, extra ...uint64) uint64 {
 	h := uint64(0x5107ad3415510c4e) // arbitrary nonzero seed
 	word := func(v uint64) {

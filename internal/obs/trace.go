@@ -99,7 +99,7 @@ type Trace struct {
 
 	RunID   string   `json:"runId"`
 	Slot    []string `json:"slot,omitempty"`    // application names
-	Backend string   `json:"backend,omitempty"` // "local", "mesh", "relay", ...
+	Backend string   `json:"backend,omitempty"` // "mesh" when distributed; empty for local runs
 	Nodes   int      `json:"nodes,omitempty"`   // cluster size (0 = local)
 	Workers int      `json:"workers,omitempty"` // expansion pool per node
 

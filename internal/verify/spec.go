@@ -2,9 +2,9 @@ package verify
 
 // Spec is the wire-serializable form of Config: the knobs a remote caller
 // of the admission service may set, under stable JSON names. Only the
-// verdict-relevant fields exist here — Workers, Trace, Distributed and the
-// exchange topology are serving-side decisions (they never change a
-// verdict, see mapping.VerifyConfigKey), so a client cannot pin them.
+// verdict-relevant fields exist here — Workers, Trace and Distributed are
+// serving-side decisions (they never change a verdict, see
+// mapping.VerifyConfigKey), so a client cannot pin them.
 
 import (
 	"fmt"
