@@ -89,7 +89,7 @@ func main() {
 	connectBackoff := flag.Duration("connect-backoff", 500*time.Millisecond, "base backoff between -connect dial attempts (doubled per attempt, capped at 10s)")
 	ft := flag.Bool("ft", false, "fault-tolerant distributed runs: survive worker deaths by shard reassignment and rollback (see -ftdir)")
 	ftdir := flag.String("ftdir", "", "checkpoint directory for -ft runs, visible to every worker (empty = recovery restarts the search)")
-	workers := flag.Int("workers", 0, "expansion workers per search/node (0 = GOMAXPROCS lanes with contention-aware autotuning, 1 = sequential)")
+	workers := flag.Int("workers", 0, "expansion workers per search/node (0 = GOMAXPROCS lanes, 1 = sequential)")
 	cachedir := flag.String("cachedir", "", "persist admission verdicts under this directory (sharded, incremental)")
 	checkpoint := flag.Duration("checkpoint", 30*time.Second, "verdict-cache checkpoint interval")
 	queue := flag.Int("queue", 64, "admission request queue depth")

@@ -40,9 +40,8 @@
 // burn — the profiles that motivated replacing the striped-mutex visited
 // sets with lock-free CAS tables (DESIGN.md §10).
 //
-// -workers 0 (the default) runs a pool of GOMAXPROCS lanes whose active
-// count a contention-aware tuner adapts level to level; an explicit N
-// pins the pool size, and 1 forces the sequential search.
+// -workers 0 (the default) runs a pool of GOMAXPROCS lanes; an explicit N
+// sets the pool size, and 1 forces the sequential search.
 package main
 
 import (
@@ -90,7 +89,7 @@ func run() int {
 	bounded := flag.Bool("bounded", false, "use the bounded-disturbance acceleration")
 	useTA := flag.Bool("ta", false, "check the faithful Fig. 5–7 timed-automata network instead of the packed verifier")
 	lazy := flag.Bool("lazy", false, "verify the lazy-preemption policy")
-	workers := flag.Int("workers", 0, "BFS worker pool size (0 = GOMAXPROCS lanes with contention-aware autotuning, 1 = sequential; must be ≥ 0)")
+	workers := flag.Int("workers", 0, "BFS worker pool size (0 = GOMAXPROCS lanes, 1 = sequential; must be ≥ 0)")
 	maxStates := flag.Int("maxstates", 0, "visited-state budget, per node when distributed (0 = 200M)")
 	nodes := flag.Int("nodes", 0, "distribute over K in-process loopback workers (0 = local verification)")
 	connect := flag.String("connect", "", "distribute over verifyd workers at these comma-separated addresses")
@@ -108,7 +107,7 @@ func run() int {
 	blockprofile := flag.String("blockprofile", "", "write a blocking profile of the verification to this file")
 	flag.Parse()
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "verifyslot: -workers must be ≥ 0 (0 = autotuned GOMAXPROCS pool, 1 = sequential), got %d\n", *workers)
+		fmt.Fprintf(os.Stderr, "verifyslot: -workers must be ≥ 0 (0 = GOMAXPROCS lanes, 1 = sequential), got %d\n", *workers)
 		return 2
 	}
 	if *useTA && (*nodes > 0 || *connect != "" || *maxStates != 0) {

@@ -31,16 +31,38 @@ func codecFor(t *testing.T, words int) *frontierCodec {
 	return newFrontierCodec(exp)
 }
 
-// randStates builds a reproducible batch of n states with the given number
-// of significant words, shaped like packed verifier states (limited-entropy
-// words) so the delta coder sees realistic input. No state is all-zero.
-func randStates(rng *rand.Rand, n, words int) []verify.PackedState {
+// reachable returns up to n distinct states of exp's state space in BFS
+// order. Decoders reject states the expander does not accept as Valid, so
+// codec fixtures are drawn from here.
+func reachable(t testing.TB, exp *verify.Expander, n int) []verify.PackedState {
+	t.Helper()
+	seen := exp.NewSet(n)
+	out := []verify.PackedState{exp.Initial()}
+	seen.Add(out[0])
+	sc := exp.NewScratch()
+	var succ []verify.HashedState
+	for i := 0; i < len(out) && len(out) < n; i++ {
+		var app int
+		succ, app = exp.SuccessorsHashedInto(out[i], sc, succ[:0])
+		if app >= 0 {
+			continue
+		}
+		for _, ns := range succ {
+			if len(out) < n && seen.AddHashed(ns.S, ns.H) {
+				out = append(out, ns.S)
+			}
+		}
+	}
+	return out
+}
+
+// randStates builds a reproducible batch of n states drawn from the codec's
+// reachable state space, so the delta coder sees realistic input.
+func randStates(t testing.TB, rng *rand.Rand, c *frontierCodec, n int) []verify.PackedState {
+	pool := reachable(t, c.exp, 2048)
 	out := make([]verify.PackedState, n)
 	for i := range out {
-		for k := 0; k < words; k++ {
-			out[i][k] = rng.Uint64() & 0x0000_0fff_00ff_ffff
-		}
-		out[i][0] |= 1 // keep clear of the all-zero sentinel
+		out[i] = pool[rng.Intn(len(pool))]
 	}
 	return out
 }
@@ -69,7 +91,7 @@ func TestFrontierCodecRoundTrip(t *testing.T) {
 	for _, words := range []int{1, 4} {
 		c := codecFor(t, words)
 		for _, n := range []int{0, 1, 2, 33, 4096} {
-			states := randStates(rng, n, words)
+			states := randStates(t, rng, c, n)
 			want := sortedCopy(states)
 			enc := c.encode(states, nil)
 			if n == 0 {
@@ -101,12 +123,17 @@ func TestFrontierCodecRoundTrip(t *testing.T) {
 // duplicate states (the sender filter is lossy by design) must round-trip.
 func TestFrontierCodecDuplicatesSurvive(t *testing.T) {
 	c := codecFor(t, 1)
-	states := []verify.PackedState{{42}, {7}, {42}, {7}, {42}}
+	pool := reachable(t, c.exp, 2)
+	lo, hi := pool[0], pool[1]
+	if verify.LessState(hi, lo) {
+		lo, hi = hi, lo
+	}
+	states := []verify.PackedState{hi, lo, hi, lo, hi}
 	dec, err := c.decode(c.encode(states, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []verify.PackedState{{7}, {7}, {42}, {42}, {42}}
+	want := []verify.PackedState{lo, lo, hi, hi, hi}
 	if !slices.Equal(dec, want) {
 		t.Fatalf("duplicates lost: %v", dec)
 	}
@@ -118,7 +145,7 @@ func TestFrontierCodecDuplicatesSurvive(t *testing.T) {
 // delta coder cannot shrink falls back to it automatically.
 func TestFrontierCodecRawFallback(t *testing.T) {
 	c := codecFor(t, 4)
-	states := randStates(rand.New(rand.NewSource(3)), 9, 4)
+	states := randStates(t, rand.New(rand.NewSource(3)), c, 9)
 	want := sortedCopy(states)
 
 	// Hand-encode the legacy format.
@@ -136,10 +163,16 @@ func TestFrontierCodecRawFallback(t *testing.T) {
 		t.Fatal("legacy batch decoded wrong")
 	}
 
-	// A single state whose words sit mid-range (±2^62 deltas take 10-byte
-	// varints) costs more as varints than raw words, so the encoder itself
-	// must emit the raw fallback.
-	one := []verify.PackedState{{1 << 62, 1 << 62, 1 << 62, 1 << 62}}
+	// A single state using the top bits of its word costs more as a varint
+	// than as the raw word, so the encoder itself must emit the raw
+	// fallback. Six apps fill a narrow word: the idle occupant field alone
+	// sits at bits 54–57, so the initial state's zigzag varint takes 9 bytes.
+	exp, err := verify.NewExpander(fleet(6, 5, 2, 4, 20), verify.Config{NondetTies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = newFrontierCodec(exp)
+	one := []verify.PackedState{exp.Initial()}
 	enc := c.encode(one, nil)
 	if enc[0] != codecRaw {
 		t.Fatalf("incompressible batch used version %d, want raw fallback", enc[0])
@@ -154,9 +187,10 @@ func TestFrontierCodecRawFallback(t *testing.T) {
 // repetitive batch and checks both the format choice and the round trip.
 func TestFrontierCodecFlatePath(t *testing.T) {
 	c := codecFor(t, 1)
+	pool := reachable(t, c.exp, 17)
 	states := make([]verify.PackedState, 2048)
 	for i := range states {
-		states[i] = verify.PackedState{uint64(1 + i%17)}
+		states[i] = pool[i%17]
 	}
 	want := sortedCopy(states)
 	enc := c.encode(states, nil)
@@ -287,10 +321,11 @@ func (s staleTransport) Unwrap() Transport { return s.Transport }
 // state leaking between batches.
 func TestFlateWriterReuse(t *testing.T) {
 	c := codecFor(t, 1)
+	pool := reachable(t, c.exp, 13)
 	for round := 0; round < 3; round++ {
 		states := make([]verify.PackedState, 1024)
 		for i := range states {
-			states[i] = verify.PackedState{uint64(1 + (i+round)%13)}
+			states[i] = pool[(i+round)%13]
 		}
 		want := sortedCopy(states)
 		dec, err := c.decode(c.encode(states, nil), nil)
@@ -305,7 +340,7 @@ func TestFlateWriterReuse(t *testing.T) {
 	// accepts (no dictionary carry-over).
 	states := make([]verify.PackedState, 1024)
 	for i := range states {
-		states[i] = verify.PackedState{uint64(1 + i%13)}
+		states[i] = pool[i%13]
 	}
 	enc := c.encode(states, nil)
 	if enc[0] == codecFlate {

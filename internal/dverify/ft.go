@@ -157,11 +157,13 @@ func writeSegment(path string, states []verify.PackedState, trans int64, words i
 	return nil
 }
 
-// readSegment loads one segment, returning its states and transition
-// count. A missing or malformed file is an error: segments are written
-// for every owned shard (empty ones included), so absence means the
-// checkpoint this worker was told to restore from does not exist.
-func readSegment(path string, words int) ([]verify.PackedState, int64, error) {
+// readSegment loads one segment written under exp's encoding, returning
+// its states and transition count. A missing or malformed file is an
+// error: segments are written for every owned shard (empty ones included),
+// so absence means the checkpoint this worker was told to restore from
+// does not exist. Every state must be Valid for exp — a segment is read
+// back from disk, and a corrupt state would panic the search later.
+func readSegment(path string, exp *verify.Expander) ([]verify.PackedState, int64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
@@ -169,16 +171,21 @@ func readSegment(path string, words int) ([]verify.PackedState, int64, error) {
 	if len(b) < 24 || [8]byte(b[:8]) != segMagic {
 		return nil, 0, fmt.Errorf("dverify: checkpoint segment %s: bad header", path)
 	}
-	n := int(binary.LittleEndian.Uint64(b[8:]))
+	words := exp.StateWords()
+	n := binary.LittleEndian.Uint64(b[8:])
 	trans := int64(binary.LittleEndian.Uint64(b[16:]))
 	body := b[24:]
-	if len(body) != n*words*8 {
-		return nil, 0, fmt.Errorf("dverify: checkpoint segment %s: truncated (%d bytes for %d states)", path, len(body), n)
+	// Bound n by division: the header is untrusted, and n*words*8 can wrap.
+	if n > uint64(len(body)/(8*words)) || int(n)*words*8 != len(body) {
+		return nil, 0, fmt.Errorf("dverify: checkpoint segment %s: %d bytes do not hold the %d states its header claims", path, len(body), n)
 	}
 	states := make([]verify.PackedState, n)
 	for i := range states {
 		for w := 0; w < words; w++ {
 			states[i][w] = binary.LittleEndian.Uint64(body[(i*words+w)*8:])
+		}
+		if !exp.Valid(states[i]) {
+			return nil, 0, fmt.Errorf("dverify: checkpoint segment %s: invalid state %x", path, states[i])
 		}
 	}
 	return states, trans, nil
@@ -341,7 +348,7 @@ func (w *meshWorker) restore(cut int) error {
 			continue
 		}
 		for l := 0; l <= cut; l++ {
-			states, trans, err := readSegment(segPath(w.ckptDir, l, sh), w.words)
+			states, trans, err := readSegment(segPath(w.ckptDir, l, sh), w.exp)
 			if err != nil {
 				return err
 			}

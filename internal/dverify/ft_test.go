@@ -9,10 +9,13 @@ package dverify
 // checkpoint directory) recovery paths.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -426,5 +429,54 @@ func TestFTPollerDeathTimeout(t *testing.T) {
 		if resps[0] == nil {
 			t.Fatal("survivor's response went missing")
 		}
+	}
+}
+
+// TestReadSegmentRejectsMalformed: checkpoint segments are read back from
+// disk, so their headers and states are untrusted. A header claiming 2^61
+// one-word states in a 24-byte file (n·words·8 wraps to 0), a truncated
+// body, and states the expander cannot take must each be a clean restore
+// error — never a panic in the allocator or, later, in the search.
+func TestReadSegmentRejectsMalformed(t *testing.T) {
+	exp, err := verify.NewExpander(fleet(2, 6, 1, 2, 10), verify.Config{NondetTies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	segment := func(n uint64, words ...uint64) []byte {
+		b := append([]byte(nil), segMagic[:]...)
+		b = binary.LittleEndian.AppendUint64(b, n)
+		b = binary.LittleEndian.AppendUint64(b, 0) // transitions
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		{"countOverflow", segment(1 << 61)},
+		{"truncated", segment(2, exp.Initial()[0])},
+		{"zeroState", segment(1, 0)},
+		{"occupantBeyondN", segment(1, 0xc0000)},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if states, _, err := readSegment(path, exp); err == nil {
+			t.Errorf("%s: read %d states without error", tc.name, len(states))
+		}
+	}
+	// The well-formed segment round-trips.
+	path := filepath.Join(dir, "good")
+	want := []verify.PackedState{exp.Initial()}
+	if err := writeSegment(path, want, 5, exp.StateWords()); err != nil {
+		t.Fatal(err)
+	}
+	states, trans, err := readSegment(path, exp)
+	if err != nil || trans != 5 || len(states) != 1 || states[0] != want[0] {
+		t.Fatalf("good segment: states %v trans %d err %v", states, trans, err)
 	}
 }

@@ -20,8 +20,8 @@ import (
 // shared atomics before waking anyone (the channel send publishes them);
 // lanes read the task through the body closure and write only lane-private
 // staging plus the designated shared atomics; wg.Wait publishes the lanes'
-// staging back. Work is claimed from the embedded WorkQueue — each active
-// lane owns a partition and steals from the busiest peer when it drains.
+// staging back. Work is claimed from the embedded WorkQueue — each lane
+// owns a partition and steals from the busiest peer when it drains.
 //
 // stop() parks nothing: it closes the wake channels and the goroutines
 // exit. The owning worker stops the crew at session teardown (mesh
@@ -58,13 +58,13 @@ func (c *laneCrew) ensure(lanes []*meshLane) {
 	c.running = true
 }
 
-// fan runs the current task on the first active lanes over items work units
-// and blocks until all of them finish. Orchestrator goroutine only.
-func (c *laneCrew) fan(active, items, chunk int) {
-	c.wq.Reset(items, active, chunk)
-	c.wg.Add(active)
-	for i := 0; i < active; i++ {
-		c.wake[i] <- struct{}{}
+// fan runs the current task on every lane over items work units and
+// blocks until all of them finish. Orchestrator goroutine only.
+func (c *laneCrew) fan(items, chunk int) {
+	c.wq.Reset(items, len(c.wake), chunk)
+	c.wg.Add(len(c.wake))
+	for _, ch := range c.wake {
+		ch <- struct{}{}
 	}
 	c.wg.Wait()
 }

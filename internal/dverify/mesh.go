@@ -68,10 +68,6 @@ const (
 	meshParallelThreshold = 256
 	meshLaneChunk         = 64
 	meshFreeBatches       = 512
-	// meshTuneWindow is how many parallel-expanded states the autotuner
-	// accumulates before one throughput observation — chunks are too small
-	// (a millisecond or less) to be a signal on their own.
-	meshTuneWindow = 8192
 )
 
 // Crew task modes (meshWorker.ptask.mode / the crew body's dispatch).
@@ -199,19 +195,13 @@ type meshWorker struct {
 	hsucc   []verify.HashedState
 	lanes   []*meshLane // nil when workers == 1 (serial expansion)
 
-	// Parallel fan-out machinery: the persistent lane crew, the reusable
-	// task, and — for auto-width jobs (Job.Workers == 0) — the contention-
-	// aware tuner deciding how many of the pooled lanes wake per fan-out,
-	// fed by windows of parallel-expansion throughput. contFlushed and
-	// stealsFlushed mark how much of the visited set's cumulative
-	// contention ledger has already been folded into the engine telemetry
-	// (the set and crew survive re-Inits, so shutdown flushes deltas).
+	// Parallel fan-out machinery: the persistent lane crew and the reusable
+	// task. contFlushed and stealsFlushed mark how much of the visited
+	// set's cumulative contention ledger has already been folded into the
+	// engine telemetry (the set and crew survive re-Inits, so shutdown
+	// flushes deltas).
 	crew          laneCrew
 	ptask         meshPTask
-	tuner         *verify.LaneTuner
-	tunStates     int
-	tunElapsed    time.Duration
-	tunRetries    int64
 	contFlushed   verify.SetStats
 	stealsFlushed int64
 
@@ -414,9 +404,6 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 			}
 		}
 		w.crew.body = w.lanePass
-		if job.Workers <= 0 {
-			w.tuner = verify.NewLaneTuner(workers)
-		}
 	} else {
 		w.visited = exp.NewSet(1 << 16)
 	}
@@ -543,13 +530,6 @@ func (w *meshWorker) reinit(job *Job, env meshEnv) (*meshWorker, *Response, erro
 		}
 		ln.reset()
 	}
-	if w.lanes != nil && job.Workers <= 0 {
-		w.tuner = verify.NewLaneTuner(len(w.lanes))
-	} else {
-		w.tuner = nil
-	}
-	w.tunStates, w.tunElapsed = 0, 0
-	w.tunRetries = w.visited.Stats().Retries
 	w.visited.Reset()
 	w.fresh, w.transitions, w.maxFresh = 0, 0, 0
 	w.routed, w.filtered, w.wireBytes = 0, 0, 0
@@ -695,52 +675,25 @@ func (w *meshWorker) absorb(level int, states []verify.PackedState) {
 // afterwards, so the bucket and the per-level counters never see concurrent
 // writers.
 func (w *meshWorker) absorbParallel(level int, states []verify.PackedState) {
-	active := w.activeLanes()
 	t := &w.ptask
 	t.mode = laneTaskAbsorb
 	t.states = states
 	t.freshTotal.Store(int64(w.fresh))
 	t.tooLarge.Store(false)
 	w.crew.ensure(w.lanes)
-	w.crew.fan(active, len(states), meshLaneChunk)
+	w.crew.fan(len(states), meshLaneChunk)
 	t.states = nil
-	w.commitMerged(level, t.tooLarge.Load(), active)
+	w.commitMerged(level, t.tooLarge.Load())
 }
 
-// activeLanes is how many pooled lanes the next fan-out wakes: all of them
-// on fixed-width jobs, the tuner's current pick on auto-width ones.
-func (w *meshWorker) activeLanes() int {
-	if w.tuner == nil {
-		return len(w.lanes)
-	}
-	if a := w.tuner.Lanes(); a < len(w.lanes) {
-		return a
-	}
-	return len(w.lanes)
-}
-
-// tuneWindow accumulates parallel-expansion throughput for the autotuner
-// and hands it a sample once the window is big enough to be a signal.
-func (w *meshWorker) tuneWindow(states int, elapsed time.Duration) {
-	w.tunStates += states
-	w.tunElapsed += elapsed
-	if w.tunStates < meshTuneWindow {
-		return
-	}
-	r := w.visited.Stats().Retries
-	w.tuner.Observe(w.tunStates, w.tunElapsed, r-w.tunRetries)
-	w.tunRetries = r
-	w.tunStates, w.tunElapsed = 0, 0
-}
-
-// commitMerged folds the active lanes' fresh commits of one parallel pass
-// into the level bucket and the counters the serial commit1 maintains.
-func (w *meshWorker) commitMerged(level int, tooLarge bool, active int) {
+// commitMerged folds the lanes' fresh commits of one parallel pass into
+// the level bucket and the counters the serial commit1 maintains.
+func (w *meshWorker) commitMerged(level int, tooLarge bool) {
 	if tooLarge {
 		w.tooLarge = true
 	}
 	total := 0
-	for _, ln := range w.lanes[:active] {
+	for _, ln := range w.lanes {
 		total += len(ln.next)
 	}
 	if total == 0 {
@@ -749,7 +702,7 @@ func (w *meshWorker) commitMerged(level int, tooLarge bool, active int) {
 	if len(w.buckets[level]) == 0 && cap(w.buckets[level]) == 0 {
 		w.buckets[level] = w.newBucket(level)
 	}
-	for _, ln := range w.lanes[:active] {
+	for _, ln := range w.lanes {
 		w.buckets[level] = append(w.buckets[level], ln.next...)
 		ln.next = ln.next[:0]
 	}
@@ -1069,7 +1022,7 @@ func (w *meshWorker) expandSerial(l, n int) {
 	}
 }
 
-// expandParallel fans a claim of up to n-states-per-active-lane across the
+// expandParallel fans a claim of up to n-states-per-lane across the
 // crew. Two facts are frozen for the whole chunk on the orchestrator
 // side — whether level l+1 is committable (commit rule) and whether it is
 // beyond the violation bound — because only the orchestrator ever moves
@@ -1079,9 +1032,8 @@ func (w *meshWorker) expandSerial(l, n int) {
 // level can never be suppressed by a larger one (the skip bound only
 // drops states *greater* than the recorded minimum).
 func (w *meshWorker) expandParallel(l, n int) {
-	active := w.activeLanes()
 	lo := w.cursors[l]
-	hi := min(lo+n*active, len(w.buckets[l]))
+	hi := min(lo+n*len(w.lanes), len(w.buckets[l]))
 	t := &w.ptask
 	t.mode = laneTaskExpand
 	t.states = w.buckets[l][lo:hi]
@@ -1098,22 +1050,15 @@ func (w *meshWorker) expandParallel(l, n int) {
 	}
 	t.freshTotal.Store(int64(w.fresh))
 	t.tooLarge.Store(false)
-	for _, ln := range w.lanes[:active] {
+	for _, ln := range w.lanes {
 		if !t.commitOK && ln.defr == nil {
 			ln.defr = w.getBatch()
 		}
 	}
 	w.crew.ensure(w.lanes)
-	var start time.Time
-	if w.tuner != nil {
-		start = time.Now()
-	}
-	w.crew.fan(active, len(t.states), meshLaneChunk)
-	if w.tuner != nil {
-		w.tuneWindow(len(t.states), time.Since(start))
-	}
+	w.crew.fan(len(t.states), meshLaneChunk)
 	t.states = nil
-	w.mergeLanes(l, t.commitOK, t.tooLarge.Load(), active)
+	w.mergeLanes(l, t.commitOK, t.tooLarge.Load())
 }
 
 // lanePass is the crew body: one wake of one lane, dispatched on the
@@ -1223,10 +1168,10 @@ func (w *meshWorker) laneExpand(lane int, ln *meshLane) {
 // staged peer routes — pushed through each destination's recent-state
 // filter into the coalesced send buffer by this one goroutine, so the
 // per-level sent counts the epoch tracker sums stay exact.
-func (w *meshWorker) mergeLanes(l int, commitOK, tooLarge bool, active int) {
+func (w *meshWorker) mergeLanes(l int, commitOK, tooLarge bool) {
 	level := l + 1
 	w.ensureLevel(level)
-	for _, ln := range w.lanes[:active] {
+	for _, ln := range w.lanes {
 		w.transitions += ln.trans
 		if w.ckptOn && ln.trans > 0 {
 			w.ftTransMerge(l, &ln.ftt)
@@ -1236,9 +1181,9 @@ func (w *meshWorker) mergeLanes(l int, commitOK, tooLarge bool, active int) {
 		}
 	}
 	if commitOK {
-		w.commitMerged(level, tooLarge, active)
+		w.commitMerged(level, tooLarge)
 	} else {
-		for _, ln := range w.lanes[:active] {
+		for _, ln := range w.lanes {
 			if ln.defr == nil {
 				continue
 			}
@@ -1253,7 +1198,7 @@ func (w *meshWorker) mergeLanes(l int, commitOK, tooLarge bool, active int) {
 	if w.haveBound && level > w.boundLevel {
 		// The chunk's own violations doomed its successors: drop the
 		// staged routes, exactly as the serial path skips them.
-		for _, ln := range w.lanes[:active] {
+		for _, ln := range w.lanes {
 			for d := range ln.out {
 				ln.out[d] = ln.out[d][:0]
 			}
@@ -1264,7 +1209,7 @@ func (w *meshWorker) mergeLanes(l int, commitOK, tooLarge bool, active int) {
 		if d == w.id {
 			continue
 		}
-		for _, ln := range w.lanes[:active] {
+		for _, ln := range w.lanes {
 			for _, ns := range ln.out[d] {
 				if w.filters[d].slots != nil && w.filters[d].seen(ns.S, ns.H) {
 					w.filtered++

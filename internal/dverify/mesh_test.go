@@ -1,6 +1,7 @@
 package dverify
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -449,43 +450,74 @@ func TestTCPPeerFrameRejectsNegativeTags(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []Frame{{Level: -1}, {Level: 1, Era: -1}} {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(l, nil)
-		go srv.Serve()
-		const session = 7
-		n := &hostNode{inbox: newMeshInbox(), exp: exp}
-		if err := srv.host.register(session, 0, n); err != nil {
-			t.Fatal(err)
-		}
-		conn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := gob.NewEncoder(conn)
-		if err := enc.Encode(&Request{Kind: KindPeerHello, Hello: &PeerHello{
-			Proto: protoVersion, Session: session, From: 1, To: 0,
-		}}); err != nil {
-			t.Fatal(err)
-		}
-		// A well-formed frame first: the link itself must work.
-		if err := enc.Encode(Frame{Level: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if b := nextBatch(t, n.inbox); b.err != nil || b.level != 1 {
-			t.Fatalf("valid frame: got level %d err %v", b.level, b.err)
-		}
-		if err := enc.Encode(bad); err != nil {
-			t.Fatal(err)
-		}
-		b := nextBatch(t, n.inbox)
-		if b.err == nil || !strings.Contains(b.err.Error(), "mesh link from node 1") {
-			t.Fatalf("frame %+v: want a link error batch, got level %d era %d err %v", bad, b.level, b.era, b.err)
-		}
-		conn.Close()
-		srv.Shutdown()
+		expectPeerFrameRejected(t, exp, bad)
+	}
+}
+
+// TestTCPPeerFrameRejectsInvalidStates: a peer frame whose batch decodes to
+// a state the expander cannot take — the all-zero sentinel the visited
+// set reserves, or an occupant beyond the slot's two applications, which
+// would index the profiles out of range — must surface as a link error
+// batch, in the raw and the delta format alike, instead of reaching the
+// worker's absorb and panicking it.
+func TestTCPPeerFrameRejectsInvalidStates(t *testing.T) {
+	exp, err := verify.NewExpander(fleet(2, 6, 1, 2, 10), verify.Config{NondetTies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := func(w uint64) []byte { return binary.LittleEndian.AppendUint64([]byte{codecRaw}, w) }
+	delta := func(w uint64) []byte { return binary.AppendUvarint([]byte{codecDelta}, zigzag(int64(w))) }
+	for _, bad := range []Frame{
+		{Level: 1, Batch: raw(0)},
+		{Level: 1, Batch: raw(0xc0000)},
+		{Level: 1, Batch: delta(0xc0000)},
+	} {
+		expectPeerFrameRejected(t, exp, bad)
+	}
+}
+
+// expectPeerFrameRejected opens a mesh link to a fresh server, checks a
+// well-formed frame gets through, then sends bad and expects a link error
+// batch in the owner's inbox.
+func expectPeerFrameRejected(t *testing.T, exp *verify.Expander, bad Frame) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(l, nil)
+	go srv.Serve()
+	defer srv.Shutdown()
+	const session = 7
+	n := &hostNode{inbox: newMeshInbox(), exp: exp}
+	if err := srv.host.register(session, 0, n); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc := gob.NewEncoder(conn)
+	if err := enc.Encode(&Request{Kind: KindPeerHello, Hello: &PeerHello{
+		Proto: protoVersion, Session: session, From: 1, To: 0,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	// A well-formed frame first: the link itself must work.
+	good := exp.AppendState([]byte{codecRaw}, exp.Initial())
+	if err := enc.Encode(Frame{Level: 1, Batch: good}); err != nil {
+		t.Fatal(err)
+	}
+	if b := nextBatch(t, n.inbox); b.err != nil || b.level != 1 || len(b.states) != 1 {
+		t.Fatalf("valid frame: got level %d, %d states, err %v", b.level, len(b.states), b.err)
+	}
+	if err := enc.Encode(bad); err != nil {
+		t.Fatal(err)
+	}
+	b := nextBatch(t, n.inbox)
+	if b.err == nil || !strings.Contains(b.err.Error(), "mesh link from node 1") {
+		t.Fatalf("frame %+v: want a link error batch, got level %d era %d states %v err %v", bad, b.level, b.era, b.states, b.err)
 	}
 }
 

@@ -422,7 +422,9 @@ func (c *frontierCodec) decode(batch []byte, out []verify.PackedState) ([]verify
 	}
 }
 
-// decodeDelta reverses the sorted zigzag varint-delta payload.
+// decodeDelta reverses the sorted zigzag varint-delta payload. Like the
+// raw format's DecodeStates, it rejects the batch at the first state the
+// expander does not accept as Valid.
 func (c *frontierCodec) decodeDelta(payload []byte, out []verify.PackedState) ([]verify.PackedState, error) {
 	var prev verify.PackedState
 	for len(payload) > 0 {
@@ -434,6 +436,9 @@ func (c *frontierCodec) decodeDelta(payload []byte, out []verify.PackedState) ([
 			}
 			payload = payload[n:]
 			s[k] = prev[k] + uint64(unzigzag(u))
+		}
+		if !c.exp.Valid(s) {
+			return out, fmt.Errorf("dverify: frontier batch carries invalid state %x", s)
 		}
 		out = append(out, s)
 		prev = s

@@ -9,7 +9,7 @@ import (
 
 // TestWorkerPoolMatrixMatchesLocal is the concurrent-absorb matrix of the
 // multi-core mesh work: 2- and 4-node mesh clusters, with per-node
-// expansion pools of 1 and 4 lanes (and the autotuned pool), must
+// expansion pools of 1 and 4 lanes (and the GOMAXPROCS pool), must
 // reproduce the local search bit-identically — verdict, exhaustive
 // counts, depth and minimal violator — on both encodings, with and
 // without the symmetry quotient. Exhaustive counts and depth coincide
@@ -49,8 +49,7 @@ func TestWorkerPoolMatrixMatchesLocal(t *testing.T) {
 				local.States, local.Transitions, local.Depth, seq.States, seq.Transitions, seq.Depth)
 		}
 		for _, nodes := range []int{2, 4} {
-			// workers = 0 is the autotuned GOMAXPROCS pool: per-node lane
-			// counts may move between levels, the verdict must not.
+			// workers = 0 is each node's GOMAXPROCS pool.
 			for _, workers := range []int{0, 1, 4} {
 				cfg := verify.Config{
 					NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md,

@@ -15,29 +15,42 @@ import (
 // the cmd/bench trajectory exist to diagnose.
 
 // collectLevels runs the first depth BFS levels through the expansion core
-// and returns all frontier states encountered, warming sc and the buffers.
-func collectLevels(v *Verifier, sc *expandScratch, depth int) (states []uint64, succBuf []uint64, choiceBuf []uint32) {
-	visited := newU64Set(1 << 12)
-	frontier := []uint64{v.initial()}
+// and returns all frontier states encountered, warming sc and the buffer.
+func collectLevels[S state](c codec[S], sc *expandScratch, depth int) (states []S, succ []hashed[S]) {
+	visited := newStateSet[S](1 << 12)
+	frontier := []S{initialState(c)}
 	visited.add(frontier[0])
 	for d := 0; d < depth; d++ {
-		var next []uint64
+		var next []S
 		for _, s := range frontier {
 			states = append(states, s)
 			var viol int
-			succBuf, choiceBuf, viol = v.successors(s, sc, succBuf[:0], choiceBuf[:0])
+			succ, viol = c.successors(s, sc, succ[:0])
 			if viol >= 0 {
 				continue
 			}
-			for _, ns := range succBuf {
-				if visited.add(ns) {
-					next = append(next, ns)
+			for _, ns := range succ {
+				if visited.addHashed(ns.s, ns.h) {
+					next = append(next, ns.s)
 				}
 			}
 		}
 		frontier = next
 	}
-	return states, succBuf, choiceBuf
+	return states, succ
+}
+
+// expansionAllocs warms a scratch on the first levels of c's state space,
+// then counts the allocations of re-expanding every state seen.
+func expansionAllocs[S state](c codec[S]) (states int, allocs float64) {
+	var sc expandScratch
+	seen, succ := collectLevels(c, &sc, 3)
+	allocs = testing.AllocsPerRun(10, func() {
+		for _, s := range seen {
+			succ, _ = c.successors(s, &sc, succ[:0])
+		}
+	})
+	return len(seen), allocs
 }
 
 // TestExpansionCoreAllocFree gates the steady state of the core: expanding
@@ -63,40 +76,15 @@ func TestExpansionCoreAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var sc expandScratch
-			if !v.wide {
-				states, succBuf, choiceBuf := collectLevels(v, &sc, 3)
-				allocs := testing.AllocsPerRun(10, func() {
-					for _, s := range states {
-						succBuf, choiceBuf, _ = v.successors(s, &sc, succBuf[:0], choiceBuf[:0])
-					}
-				})
-				if allocs != 0 {
-					t.Fatalf("narrow expansion of %d states allocates %.1f times per sweep, want 0", len(states), allocs)
-				}
-				return
+			var states int
+			var allocs float64
+			if v.wide {
+				states, allocs = expansionAllocs[wstate](wideCodec{v})
+			} else {
+				states, allocs = expansionAllocs[uint64](narrowCodec{v})
 			}
-			// Wide path: warm on the initial state's closure, then re-expand.
-			var states []wstate
-			var succBuf []wstate
-			var choiceBuf []uint32
-			frontier := []wstate{v.initialWide()}
-			for d := 0; d < 3; d++ {
-				var next []wstate
-				for _, s := range frontier {
-					states = append(states, s)
-					succBuf, choiceBuf, _ = v.successorsWide(s, &sc, succBuf[:0], choiceBuf[:0])
-					next = append(next, succBuf...)
-				}
-				frontier = next
-			}
-			allocs := testing.AllocsPerRun(10, func() {
-				for _, s := range states {
-					succBuf, choiceBuf, _ = v.successorsWide(s, &sc, succBuf[:0], choiceBuf[:0])
-				}
-			})
 			if allocs != 0 {
-				t.Fatalf("wide expansion of %d states allocates %.1f times per sweep, want 0", len(states), allocs)
+				t.Fatalf("expansion of %d states (wide=%v) allocates %.1f times per sweep, want 0", states, v.wide, allocs)
 			}
 		})
 	}
@@ -146,36 +134,10 @@ func TestSequentialSearchAllocAmortized(t *testing.T) {
 	}
 }
 
-// TestExpanderSuccessorsIntoAllocFree pins the exported seam the
-// distributed nodes drive: SuccessorsInto with an owned scratch and a
-// recycled buffer is allocation-free too.
-func TestExpanderSuccessorsIntoAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
-	}
-	e, err := NewExpander(fleet(4, 6, 1, 2, 10), Config{NondetTies: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := e.NewScratch()
-	out, app := e.SuccessorsInto(e.Initial(), sc, nil)
-	if app >= 0 {
-		t.Fatal("initial expansion violated")
-	}
-	states := append([]PackedState(nil), out...)
-	allocs := testing.AllocsPerRun(10, func() {
-		for _, s := range states {
-			out, _ = e.SuccessorsInto(s, sc, out[:0])
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SuccessorsInto allocates %.1f times per sweep, want 0", allocs)
-	}
-}
-
-// TestExpanderSuccessorsHashedIntoAllocFree pins the batched-hashing
-// variant the mesh workers drive: hashing during the packing sweep must
-// not reintroduce allocation on the steady-state expansion path.
+// TestExpanderSuccessorsHashedIntoAllocFree pins the exported seam the
+// mesh workers drive: SuccessorsHashedInto with an owned scratch and a
+// recycled buffer — hashing during the packing sweep included — is
+// allocation-free too.
 func TestExpanderSuccessorsHashedIntoAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")

@@ -11,7 +11,6 @@ package verify
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"tightcps/internal/switching"
 )
@@ -28,8 +27,7 @@ type PackedState [wideWords]uint64
 // concurrent use, except where a caller-owned buffer or scratch is passed
 // in.
 type Expander struct {
-	v    *Verifier
-	pool sync.Pool // spare *ExpandScratch for the concurrency-safe Successors
+	v *Verifier
 }
 
 // Expander returns the verifier's expansion core.
@@ -59,107 +57,68 @@ func (e *Expander) StateWords() int {
 }
 
 // Initial returns the all-Steady, slot-idle state.
-func (e *Expander) Initial() PackedState {
-	if e.v.wide {
-		return PackedState(e.v.initialWide())
-	}
-	return PackedState{e.v.initial()}
-}
+func (e *Expander) Initial() PackedState { return e.v.initial() }
 
 // ExpandScratch owns the expansion core's reusable buffers — the decoded
 // base state and the successor arena — for one external search driver.
 // A scratch is not safe for concurrent use: give every driver goroutine its
 // own, exactly as the internal searches give one to every BFS worker. The
 // arena grows to the verifier's maximum fanout and is then recycled, so
-// steady-state expansion through SuccessorsInto performs no allocation.
+// steady-state expansion through SuccessorsHashedInto performs no
+// allocation.
 type ExpandScratch struct {
-	sc expandScratch
+	sc     expandScratch
+	narrow []hashed[uint64] // the codec's successor buffer, per encoding
+	wide   []hashed[wstate]
 }
 
-// NewScratch returns a fresh scratch for SuccessorsInto.
+// NewScratch returns a fresh scratch for SuccessorsHashedInto.
 func (e *Expander) NewScratch() *ExpandScratch { return &ExpandScratch{} }
 
-// SuccessorsInto appends s's successors to out and returns the extended
-// slice together with the index of the application whose deadline the
-// expansion violated, or −1 when every disturbance choice stays safe. On a
-// violation out is returned unchanged — no partial successors are appended
-// (only the scratch's internal arena holds the truncated expansion), so
-// callers accumulating successors from several states keep the earlier
-// ones. The scratch carries the expansion's buffers between calls; its
-// arena contents are overwritten on every call.
-func (e *Expander) SuccessorsInto(s PackedState, scr *ExpandScratch, out []PackedState) ([]PackedState, int) {
-	v, sc := e.v, &scr.sc
-	if v.wide {
-		v.unpackWide(wstate(s), &sc.base)
-	} else {
-		v.unpack(s[0], &sc.base)
-	}
-	if viol := v.expand(&sc.base, sc); viol >= 0 {
-		return out, viol
-	}
-	if v.wide {
-		for i := range sc.states {
-			out = append(out, PackedState(v.packWide(&sc.states[i])))
-		}
-	} else {
-		for i := range sc.states {
-			out = append(out, PackedState{v.pack(&sc.states[i])})
-		}
-	}
-	return out, -1
-}
-
 // HashedState pairs a packed state with its Expander.Hash. It is the unit
-// of the batched-hashing expansion path: SuccessorsHashedInto mixes each
-// successor while it is still hot from the packing sweep, and the driver
-// carries the hash from shard routing through the send filter to the
-// visited-set probe — one mix per expanded state on the whole hot path.
+// of the seam's expansion output: the codec's successor sweep mixes each
+// state while it is still hot from packing, and drivers carry the hash from
+// shard routing through the send filter to the visited-set probe — one mix
+// per expanded state on the whole hot path.
 type HashedState struct {
 	S PackedState
 	H uint64
 }
 
-// SuccessorsHashedInto is SuccessorsInto with the hash computed during the
-// packing sweep over the scratch arena, so callers that route or dedup by
-// hash never mix a state twice. The contract is otherwise identical: on a
-// violation out is returned unchanged, and the scratch's arena is
-// overwritten on every call.
+// SuccessorsHashedInto appends s's successors, each paired with its Hash,
+// to out and returns the extended slice together with the index of the
+// application whose deadline the expansion violated, or −1 when every
+// disturbance choice stays safe. On a violation out is returned unchanged —
+// no partial successors are appended (only the scratch's internal arena
+// holds the truncated expansion), so callers accumulating successors from
+// several states keep the earlier ones. The scratch carries the
+// expansion's buffers between calls; its arena contents are overwritten on
+// every call. s must be Valid.
 func (e *Expander) SuccessorsHashedInto(s PackedState, scr *ExpandScratch, out []HashedState) ([]HashedState, int) {
-	v, sc := e.v, &scr.sc
-	if v.wide {
-		v.unpackWide(wstate(s), &sc.base)
-	} else {
-		v.unpack(s[0], &sc.base)
+	if e.v.wide {
+		return appendSuccessors[wstate](wideCodec{e.v}, s, &scr.sc, &scr.wide, out)
 	}
-	if viol := v.expand(&sc.base, sc); viol >= 0 {
+	return appendSuccessors[uint64](narrowCodec{e.v}, s, &scr.sc, &scr.narrow, out)
+}
+
+// appendSuccessors expands s through the codec into buf and appends the
+// successors to out in PackedState form.
+func appendSuccessors[S state](c codec[S], s PackedState, sc *expandScratch, buf *[]hashed[S], out []HashedState) ([]HashedState, int) {
+	succ, viol := c.successors(unpacked[S](s), sc, (*buf)[:0])
+	*buf = succ
+	if viol >= 0 {
 		return out, viol
 	}
-	if v.wide {
-		for i := range sc.states {
-			ws := v.packWide(&sc.states[i])
-			out = append(out, HashedState{S: PackedState(ws), H: hashW(ws)})
-		}
-	} else {
-		for i := range sc.states {
-			ns := v.pack(&sc.states[i])
-			out = append(out, HashedState{S: PackedState{ns}, H: hashU64(ns)})
-		}
+	for _, ns := range succ {
+		out = append(out, HashedState{S: packed(ns.s), H: ns.h})
 	}
 	return out, -1
 }
 
-// Successors is SuccessorsInto over a pooled scratch: safe for concurrent
-// use, at the cost of the pool round-trip. Hot drivers hold their own
-// scratch and call SuccessorsInto directly.
-func (e *Expander) Successors(s PackedState, out []PackedState) ([]PackedState, int) {
-	scr, _ := e.pool.Get().(*ExpandScratch)
-	if scr == nil {
-		scr = &ExpandScratch{}
-	}
-	out, app := e.SuccessorsInto(s, scr, out)
-	e.pool.Put(scr)
-	return out, app
-}
+// Valid reports whether s is a well-formed state of this expander's
+// encoding — the check every state decoded from outside the process
+// passes before it is absorbed or expanded (see Verifier.valid).
+func (e *Expander) Valid(s PackedState) bool { return e.v.valid(s) }
 
 // Hash mixes a state for shard selection and set probing. Narrow states use
 // the one-word splitmix finalizer (the same function behind the local
@@ -194,7 +153,9 @@ func (e *Expander) AppendState(dst []byte, s PackedState) []byte {
 }
 
 // DecodeStates appends every state encoded in b (a batch built with
-// AppendState under the same profiles and config) to out.
+// AppendState under the same profiles and config) to out. A batch holding
+// a state that is not Valid is rejected whole: decoded bytes come from
+// peers and files, and an invalid state would panic the expansion core.
 func (e *Expander) DecodeStates(b []byte, out []PackedState) ([]PackedState, error) {
 	w := e.StateWords()
 	stride := 8 * w
@@ -205,6 +166,9 @@ func (e *Expander) DecodeStates(b []byte, out []PackedState) ([]PackedState, err
 		var s PackedState
 		for k := 0; k < w; k++ {
 			s[k] = binary.LittleEndian.Uint64(b[8*k:])
+		}
+		if !e.Valid(s) {
+			return out, fmt.Errorf("verify: frontier batch carries invalid state %x", s)
 		}
 		out = append(out, s)
 		b = b[stride:]
@@ -218,9 +182,9 @@ func (e *Expander) DecodeStates(b []byte, out []PackedState) ([]PackedState, err
 // owns its partition.
 func (e *Expander) NewSet(capacity int) *StateSet {
 	if e.v.wide {
-		return &StateSet{wide: newWideSet(capacity)}
+		return &StateSet{wide: newStateSet[wstate](capacity)}
 	}
-	return &StateSet{narrow: newU64Set(capacity)}
+	return &StateSet{narrow: newStateSet[uint64](capacity)}
 }
 
 // NewShardedSet returns a visited set striped 64-way by hash — the same
@@ -244,8 +208,8 @@ func (e *Expander) NewShardedSet(capacity int) *StateSet {
 // concurrency of the constructor (NewSet single-goroutine, NewShardedSet
 // striped).
 type StateSet struct {
-	narrow   *u64Set
-	wide     *wideSet
+	narrow   *stateSet[uint64]
+	wide     *stateSet[wstate]
 	shNarrow *shardedU64Set
 	shWide   *shardedWideSet
 }
@@ -328,9 +292,8 @@ func (s *StateSet) Reset() {
 }
 
 // Stats returns the cumulative contention ledger of a sharded set (zero for
-// the single-goroutine sets, which never contend). Distributed drivers
-// sample deltas between levels for lane autotuning and fold the totals into
-// the engine telemetry at session teardown via FlushContention.
+// the single-goroutine sets, which never contend). Distributed drivers fold
+// it into the engine telemetry at session teardown via FlushContention.
 func (s *StateSet) Stats() SetStats {
 	switch {
 	case s.shNarrow != nil:

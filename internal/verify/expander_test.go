@@ -8,8 +8,9 @@ import (
 )
 
 // TestExpanderMatchesInternalSuccessors pins the seam to the internal
-// search: the exported Successors must produce exactly the packed states
-// the narrow path's successors() produces, embedded in word 0.
+// expansion core: the exported SuccessorsHashedInto must produce exactly
+// the packed states expand() leaves in the arena, embedded in word 0 on
+// the narrow path.
 func TestExpanderMatchesInternalSuccessors(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 2, 2, 3, 15), prof("B", 6, 2, 4, 25), prof("C", 9, 3, 5, 30)}
 	v, err := New(ps, Config{NondetTies: true})
@@ -20,28 +21,33 @@ func TestExpanderMatchesInternalSuccessors(t *testing.T) {
 	if e.Wide() || e.StateWords() != 1 {
 		t.Fatalf("narrow triple reported wide=%v words=%d", e.Wide(), e.StateWords())
 	}
-	init := v.initial()
+	idle := cstate{occ: -1}
+	init := v.pack(&idle)
 	if e.Initial() != (PackedState{init}) {
 		t.Fatalf("Initial() = %v, want word0 %d", e.Initial(), init)
 	}
 	var sc expandScratch
-	want, _, viol := v.successors(init, &sc, nil, nil)
-	if viol >= 0 {
+	v.unpack(init, &sc.base)
+	if viol := v.expand(&sc.base, &sc); viol >= 0 {
 		t.Fatal("initial state violated")
 	}
-	got, app := e.Successors(PackedState{init}, nil)
+	var want []uint64
+	for i := range sc.states {
+		want = append(want, v.pack(&sc.states[i]))
+	}
+	got, app := e.SuccessorsHashedInto(PackedState{init}, e.NewScratch(), nil)
 	if app != -1 {
-		t.Fatalf("Successors reported violator %d", app)
+		t.Fatalf("SuccessorsHashedInto reported violator %d", app)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d successors via the seam, %d internally", len(got), len(want))
 	}
 	gw := make([]uint64, len(got))
 	for i, s := range got {
-		if s[1]|s[2]|s[3] != 0 {
-			t.Fatalf("narrow successor %v has nonzero high words", s)
+		if s.S[1]|s.S[2]|s.S[3] != 0 {
+			t.Fatalf("narrow successor %v has nonzero high words", s.S)
 		}
-		gw[i] = s[0]
+		gw[i] = s.S[0]
 	}
 	sort.Slice(gw, func(a, b int) bool { return gw[a] < gw[b] })
 	ww := append([]uint64(nil), want...)
@@ -66,16 +72,19 @@ func TestExpanderViolationSurfaces(t *testing.T) {
 	seen := e.NewSet(64)
 	frontier := []PackedState{e.Initial()}
 	seen.Add(frontier[0])
+	sc := e.NewScratch()
+	var succ []HashedState
 	for len(frontier) > 0 {
 		var next []PackedState
 		for _, s := range frontier {
-			succ, app := e.Successors(s, nil)
+			var app int
+			succ, app = e.SuccessorsHashedInto(s, sc, succ[:0])
 			if app >= 0 {
 				return // violation surfaced, as expected for the overload pair
 			}
 			for _, ns := range succ {
-				if seen.Add(ns) {
-					next = append(next, ns)
+				if seen.AddHashed(ns.S, ns.H) {
+					next = append(next, ns.S)
 				}
 			}
 		}
@@ -102,9 +111,13 @@ func TestExpanderBatchRoundTrip(t *testing.T) {
 		if e.Wide() != tc.wide {
 			t.Fatalf("%s: wide=%v", tc.name, e.Wide())
 		}
-		states, app := e.Successors(e.Initial(), nil)
+		succ, app := e.SuccessorsHashedInto(e.Initial(), e.NewScratch(), nil)
 		if app >= 0 {
 			t.Fatalf("%s: initial expansion violated", tc.name)
+		}
+		states := make([]PackedState, len(succ))
+		for i := range succ {
+			states[i] = succ[i].S
 		}
 		var b []byte
 		for _, s := range states {
@@ -131,11 +144,10 @@ func TestExpanderBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSuccessorsHashedIntoMatches pins the batched-hashing expansion
-// path: on both encodings it must produce exactly SuccessorsInto's
-// states in the same order, each paired with its Expander.Hash — the
-// "hashed exactly once" contract of the mesh workers' hot path — and
-// surface violations with out unchanged, like SuccessorsInto.
+// TestSuccessorsHashedIntoMatches pins the batched-hashing contract of
+// the mesh workers' hot path on both encodings: every successor carries
+// exactly its Expander.Hash and is Valid, and a violation leaves out
+// unchanged.
 func TestSuccessorsHashedIntoMatches(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -143,50 +155,45 @@ func TestSuccessorsHashedIntoMatches(t *testing.T) {
 	}{
 		{"narrow", fleet(3, 5, 2, 4, 20)},
 		{"wide", fleet(7, 6, 1, 2, 10)},
+		{"overload", fleet(2, 0, 3, 5, 20)},
 	} {
 		e, err := NewExpander(tc.ps, Config{NondetTies: true})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		sc, hsc := e.NewScratch(), e.NewScratch()
-		var plain []PackedState
-		var hashed []HashedState
+		sc := e.NewScratch()
 		frontier := []PackedState{e.Initial()}
 		seen := e.NewSet(64)
 		seen.Add(frontier[0])
+		violated := false
 		for level := 0; level < 3 && len(frontier) > 0; level++ {
 			var next []PackedState
 			for _, s := range frontier {
-				var appP, appH int
-				plain, appP = e.SuccessorsInto(s, sc, plain[:0])
-				hashed, appH = e.SuccessorsHashedInto(s, hsc, hashed[:0])
-				if appP != appH {
-					t.Fatalf("%s: violator %d via hashed path, %d plain", tc.name, appH, appP)
-				}
-				if appP >= 0 {
-					if len(hashed) != 0 {
-						t.Fatalf("%s: violation appended %d hashed successors", tc.name, len(hashed))
+				// Keep one stale entry in front: a violation must not touch it.
+				hashed, app := e.SuccessorsHashedInto(s, sc, []HashedState{{S: s}})
+				if app >= 0 {
+					violated = true
+					if len(hashed) != 1 || hashed[0].S != s {
+						t.Fatalf("%s: violation changed out to %v", tc.name, hashed)
 					}
 					continue
 				}
-				if len(hashed) != len(plain) {
-					t.Fatalf("%s: %d hashed successors, %d plain", tc.name, len(hashed), len(plain))
-				}
-				for i := range plain {
-					if hashed[i].S != plain[i] {
-						t.Fatalf("%s: successor %d: %v hashed, %v plain", tc.name, i, hashed[i].S, plain[i])
+				for _, ns := range hashed[1:] {
+					if ns.H != e.Hash(ns.S) {
+						t.Fatalf("%s: successor %v: carried hash %#x, Hash says %#x", tc.name, ns.S, ns.H, e.Hash(ns.S))
 					}
-					if hashed[i].H != e.Hash(plain[i]) {
-						t.Fatalf("%s: successor %d: carried hash %#x, Hash says %#x", tc.name, i, hashed[i].H, e.Hash(plain[i]))
+					if !e.Valid(ns.S) {
+						t.Fatalf("%s: successor %v is not Valid", tc.name, ns.S)
 					}
-				}
-				for _, ns := range plain {
-					if seen.Add(ns) {
-						next = append(next, ns)
+					if seen.Add(ns.S) {
+						next = append(next, ns.S)
 					}
 				}
 			}
 			frontier = next
+		}
+		if tc.name == "overload" && !violated {
+			t.Fatalf("%s: no violation within three levels", tc.name)
 		}
 	}
 }

@@ -44,7 +44,7 @@ func TestShardedSetRandomizedOracle(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		oracle := newU64Set(64)
+		oracle := newStateSet[uint64](64)
 		want := 0
 		for g := 0; g < goroutines; g++ {
 			for i := 0; i < perG; i++ {
@@ -86,7 +86,7 @@ func TestShardedSetRandomizedOracle(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		oracle := newWideSet(64)
+		oracle := newStateSet[wstate](64)
 		want := 0
 		for g := 0; g < goroutines; g++ {
 			for i := 0; i < perG; i++ {

@@ -36,14 +36,9 @@ var (
 		"Keys parked in a stripe's overflow map because a probe window saturated.")
 	obsSteals = obs.NewCounter("tightcps_verify_lane_steals_total",
 		"Frontier chunks claimed from a foreign lane's partition by the work-stealing queues.")
-	obsAutoLanes = obs.NewGauge("tightcps_verify_autotune_lanes",
-		"Active lane count last chosen by the contention-aware autotuner (workers=0 runs).")
 	obsProbeLen = obs.NewHistogram("tightcps_verify_set_probe_len",
 		"Mean probe steps per visited-set add, observed once per run.",
 		[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2, 4, 8})
-	obsLaneOccupancy = obs.NewHistogram("tightcps_verify_lane_occupancy",
-		"Fraction of the lane pool the autotuner kept active, observed per adjustment.",
-		[]float64{0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1})
 )
 
 // ContentionStats is the cumulative contention ledger of the lock-free

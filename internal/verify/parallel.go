@@ -1,10 +1,8 @@
 package verify
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Parallel BFS tuning.
@@ -19,27 +17,28 @@ const (
 	chunkSize = 128
 )
 
-// noViolation is the sentinel for the atomic minimum-violating-state value.
-// Packed states are compared as raw uint64s; the minimum over all violating
-// states of a level is independent of frontier order, which makes the
-// parallel verdict (and Violator) deterministic across runs and worker
-// counts.
-const noViolation = math.MaxUint64
+// concurrentSet is the lock-free visited set a parallel search shares
+// across its lanes (shardset.go): one per encoding, each with its own slot
+// protocol.
+type concurrentSet[S state] interface {
+	addHashed(k S, h uint64) bool
+	reserve(n int)
+	stats() SetStats
+}
 
 // violRec records one violating frontier state found during a level.
-type violRec struct {
-	state uint64 // the packed frontier state whose expansion violated
-	app   int    // the application that missed its deadline
+type violRec[S state] struct {
+	state S   // the packed frontier state whose expansion violated
+	app   int // the application that missed its deadline
 }
 
 // bfsWorker holds one worker's reusable scratch and per-level output.
-type bfsWorker struct {
-	sc     expandScratch
-	succ   []uint64
-	choice []uint32
-	next   []uint64 // fresh states discovered this level
-	trans  int      // successors generated this level
-	viols  []violRec
+type bfsWorker[S state] struct {
+	sc    expandScratch
+	succ  []hashed[S]
+	next  []S // fresh states discovered this level
+	trans int // successors generated this level
+	viols []violRec[S]
 }
 
 // runParallel performs the level-synchronous sharded BFS. It visits exactly
@@ -49,39 +48,30 @@ type bfsWorker struct {
 // busiest other lane's). For schedulable sets the search is exhaustive, so
 // States, Transitions and Depth equal the sequential counts. On a violation
 // the level is still swept far enough to find the minimum violating packed
-// state, so Schedulable and Violator are deterministic (though Violator may
-// differ from the sequential path's first-in-expansion-order pick when
-// several applications can violate at the same depth).
-//
-// With auto set (Config.Workers = 0) the pool holds `workers` lanes but a
-// LaneTuner picks how many wake each level, adapting to contention; the
-// verdict does not depend on the active count, so tuning is free of
-// determinism cost.
-func (v *Verifier) runParallel(workers int, auto bool) (Result, error) {
+// state (lessState), so Schedulable and Violator are deterministic across
+// runs and worker counts (though Violator may differ from the sequential
+// path's first-in-expansion-order pick when several applications can
+// violate at the same depth).
+func runParallel[S state, V concurrentSet[S]](v *Verifier, c codec[S], visited V, workers int) (Result, error) {
 	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
-	visited := newShardedU64Set(1 << 16)
-	init := v.initial()
-	visited.add(init)
-	frontier := []uint64{init}
+	init := initialState(c)
+	visited.addHashed(init, hashState(init))
+	frontier := []S{init}
 
 	var states atomic.Int64 // fresh states across the whole search
 	states.Store(1)
 	maxStates := int64(v.cfg.MaxStates)
 	var tooLarge atomic.Bool
 
-	ws := make([]*bfsWorker, workers)
+	ws := make([]*bfsWorker[S], workers)
 	for i := range ws {
-		ws[i] = &bfsWorker{}
+		ws[i] = &bfsWorker[S]{}
 	}
 	var wq WorkQueue
-	var tuner *LaneTuner
-	if auto {
-		tuner = NewLaneTuner(workers)
-	}
 	defer func() {
 		flushContention(visited.stats(), int64(res.Transitions), wq.Steals())
 	}()
-	var spare []uint64 // recycled merge buffer, swapped with frontier per level
+	var spare []S // recycled merge buffer, swapped with frontier per level
 
 	prevFrontier := 1
 	for depth := 0; len(frontier) > 0; depth++ {
@@ -89,10 +79,9 @@ func (v *Verifier) runParallel(workers int, auto bool) (Result, error) {
 		obsLevels.Inc()
 		levelTrans := res.Transitions
 		visited.reserve(levelReserve(len(frontier), prevFrontier))
-		var minViol atomic.Uint64
-		minViol.Store(noViolation)
+		var minViol atomic.Pointer[S]
 
-		expand := func(w *bfsWorker, lane int) {
+		expand := func(w *bfsWorker[S], lane int) {
 			w.next = w.next[:0]
 			w.trans = 0
 			w.viols = w.viols[:0]
@@ -104,184 +93,16 @@ func (v *Verifier) runParallel(workers int, auto bool) (Result, error) {
 				for _, s := range frontier[lo:hi] {
 					// A violating state smaller than s already decides this
 					// level; expanding s cannot change the verdict.
-					if mv := minViol.Load(); mv != noViolation && s > mv {
+					if mv := minViol.Load(); mv != nil && lessState(*mv, s) {
 						continue
 					}
-					w.succ = w.succ[:0]
-					w.choice = w.choice[:0]
 					var viol int
-					w.succ, w.choice, viol = v.successors(s, &w.sc, w.succ, w.choice)
+					w.succ, viol = c.successors(s, &w.sc, w.succ[:0])
 					if viol >= 0 {
-						w.viols = append(w.viols, violRec{state: s, app: viol})
+						w.viols = append(w.viols, violRec[S]{state: s, app: viol})
 						for {
 							mv := minViol.Load()
-							if s >= mv || minViol.CompareAndSwap(mv, s) {
-								break
-							}
-						}
-						continue
-					}
-					w.trans += len(w.succ)
-					for _, ns := range w.succ {
-						if visited.add(ns) {
-							w.next = append(w.next, ns)
-							if states.Add(1) > maxStates {
-								tooLarge.Store(true)
-								return
-							}
-						}
-					}
-				}
-			}
-		}
-
-		act := workers
-		if tuner != nil {
-			act = tuner.Lanes()
-		}
-		if len(frontier) < serialLevelThreshold || act == 1 {
-			act = 1
-			wq.Reset(len(frontier), 1, chunkSize)
-			expand(ws[0], 0)
-		} else {
-			wq.Reset(len(frontier), act, chunkSize)
-			retries0 := visited.stats().Retries
-			start := time.Now()
-			var wg sync.WaitGroup
-			wg.Add(act)
-			for lane, w := range ws[:act] {
-				go func(w *bfsWorker, lane int) {
-					defer wg.Done()
-					expand(w, lane)
-				}(w, lane)
-			}
-			wg.Wait()
-			if tuner != nil {
-				tuner.Observe(len(frontier), time.Since(start),
-					visited.stats().Retries-retries0)
-			}
-		}
-
-		res.States = int(states.Load())
-		// A recorded violation is definitive even when the state budget
-		// tripped in the same level — prefer the verdict over ErrTooLarge.
-		if mv := minViol.Load(); mv != noViolation {
-			res.Schedulable = false
-			for _, w := range ws[:act] {
-				for _, vr := range w.viols {
-					if vr.state == mv {
-						res.Violator = vr.app
-					}
-				}
-				res.Transitions += w.trans
-			}
-			v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
-			return res, nil
-		}
-		if tooLarge.Load() {
-			return res, ErrTooLarge
-		}
-
-		total := 0
-		for _, w := range ws[:act] {
-			res.Transitions += w.trans
-			total += len(w.next)
-		}
-		v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
-		if cap(spare) < total {
-			spare = make([]uint64, 0, total)
-		}
-		spare = spare[:0]
-		for _, w := range ws[:act] {
-			spare = append(spare, w.next...)
-		}
-		prevFrontier = len(frontier)
-		frontier, spare = spare, frontier
-	}
-	return res, nil
-}
-
-// violRecW records one violating wide frontier state found during a level.
-type violRecW struct {
-	state wstate
-	app   int
-}
-
-// bfsWideWorker holds one worker's reusable scratch and per-level output
-// for the multi-word search.
-type bfsWideWorker struct {
-	sc     expandScratch
-	succ   []wstate
-	choice []uint32
-	next   []wstate
-	trans  int
-	viols  []violRecW
-}
-
-// runParallelWide is runParallel over the multi-word encoding: the same
-// level-synchronous sharded BFS, with the minimum-violator tie-break taken
-// lexicographically over the state words (lessW) through an atomic pointer
-// instead of an atomic uint64. The determinism argument is unchanged: the
-// minimum violating packed state of the first violating level does not
-// depend on frontier order or worker count.
-func (v *Verifier) runParallelWide(workers int, auto bool) (Result, error) {
-	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
-	visited := newShardedWideSet(1 << 12)
-	init := v.initialWide()
-	visited.add(init)
-	frontier := []wstate{init}
-
-	var states atomic.Int64
-	states.Store(1)
-	maxStates := int64(v.cfg.MaxStates)
-	var tooLarge atomic.Bool
-
-	ws := make([]*bfsWideWorker, workers)
-	for i := range ws {
-		ws[i] = &bfsWideWorker{}
-	}
-	var wq WorkQueue
-	var tuner *LaneTuner
-	if auto {
-		tuner = NewLaneTuner(workers)
-	}
-	defer func() {
-		flushContention(visited.stats(), int64(res.Transitions), wq.Steals())
-	}()
-	var spare []wstate // recycled merge buffer, swapped with frontier per level
-
-	prevFrontier := 1
-	for depth := 0; len(frontier) > 0; depth++ {
-		res.Depth = depth
-		obsLevels.Inc()
-		levelTrans := res.Transitions
-		visited.reserve(levelReserve(len(frontier), prevFrontier))
-		var minViol atomic.Pointer[wstate]
-
-		expand := func(w *bfsWideWorker, lane int) {
-			w.next = w.next[:0]
-			w.trans = 0
-			w.viols = w.viols[:0]
-			for {
-				lo, hi, ok := wq.Next(lane)
-				if !ok || tooLarge.Load() {
-					return
-				}
-				for _, s := range frontier[lo:hi] {
-					// A violating state smaller than s already decides this
-					// level; expanding s cannot change the verdict.
-					if mv := minViol.Load(); mv != nil && lessW(*mv, s) {
-						continue
-					}
-					w.succ = w.succ[:0]
-					w.choice = w.choice[:0]
-					var viol int
-					w.succ, w.choice, viol = v.successorsWide(s, &w.sc, w.succ, w.choice)
-					if viol >= 0 {
-						w.viols = append(w.viols, violRecW{state: s, app: viol})
-						for {
-							mv := minViol.Load()
-							if mv != nil && !lessW(s, *mv) {
+							if mv != nil && !lessState(s, *mv) {
 								break
 							}
 							sc := s
@@ -292,9 +113,9 @@ func (v *Verifier) runParallelWide(workers int, auto bool) (Result, error) {
 						continue
 					}
 					w.trans += len(w.succ)
-					for _, ns := range w.succ {
-						if visited.add(ns) {
-							w.next = append(w.next, ns)
+					for _, hs := range w.succ {
+						if visited.addHashed(hs.s, hs.h) {
+							w.next = append(w.next, hs.s)
 							if states.Add(1) > maxStates {
 								tooLarge.Store(true)
 								return
@@ -306,30 +127,21 @@ func (v *Verifier) runParallelWide(workers int, auto bool) (Result, error) {
 		}
 
 		act := workers
-		if tuner != nil {
-			act = tuner.Lanes()
-		}
-		if len(frontier) < serialLevelThreshold || act == 1 {
+		if len(frontier) < serialLevelThreshold {
 			act = 1
 			wq.Reset(len(frontier), 1, chunkSize)
 			expand(ws[0], 0)
 		} else {
 			wq.Reset(len(frontier), act, chunkSize)
-			retries0 := visited.stats().Retries
-			start := time.Now()
 			var wg sync.WaitGroup
 			wg.Add(act)
-			for lane, w := range ws[:act] {
-				go func(w *bfsWideWorker, lane int) {
+			for lane, w := range ws {
+				go func(w *bfsWorker[S], lane int) {
 					defer wg.Done()
 					expand(w, lane)
 				}(w, lane)
 			}
 			wg.Wait()
-			if tuner != nil {
-				tuner.Observe(len(frontier), time.Since(start),
-					visited.stats().Retries-retries0)
-			}
 		}
 
 		res.States = int(states.Load())
@@ -359,7 +171,7 @@ func (v *Verifier) runParallelWide(workers int, auto bool) (Result, error) {
 		}
 		v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
 		if cap(spare) < total {
-			spare = make([]wstate, 0, total)
+			spare = make([]S, 0, total)
 		}
 		spare = spare[:0]
 		for _, w := range ws[:act] {

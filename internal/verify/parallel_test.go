@@ -10,61 +10,85 @@ import (
 	"tightcps/internal/switching"
 )
 
-// TestParallelMatchesSequential: on every combination — schedulable and not,
-// exact and bounded — the sharded parallel BFS must return the sequential
-// verdict, and on schedulable sets (exhaustive search) the exact same
-// state/transition/depth counts.
+// TestParallelMatchesSequential is the one equivalence table of the local
+// drivers: on narrow and wide slots, exact and bounded, with and without
+// the symmetry quotient, every worker count — including 0, the GOMAXPROCS
+// pool — must return the sequential verdict, and on schedulable sets
+// (exhaustive search) the exact same state/transition/depth counts. The
+// parallel violator is the minimum violating packed state, so it must
+// agree across explicit multi-lane worker counts.
 func TestParallelMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name    string
 		ps      []*switching.Profile
 		bounded bool
+		sym     bool // only on slots with identical applications
 	}{
-		{"single", []*switching.Profile{prof("A", 5, 2, 4, 20)}, false},
-		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}, false},
-		{"loosePair", []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}, false},
-		{"tight", []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}, false},
-		{"S2", caseProfiles(t, "C6", "C2"), false},
-		{"S1prefix", caseProfiles(t, "C1", "C5", "C4"), false},
-		{"rejected", caseProfiles(t, "C1", "C5", "C4", "C6"), false},
-		{"S2bounded", caseProfiles(t, "C6", "C2"), true},
+		// Narrow (one-word) encoding.
+		{"single", []*switching.Profile{prof("A", 5, 2, 4, 20)}, false, false},
+		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}, false, false},
+		{"overloadSym", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}, false, true},
+		{"loosePair", []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}, false, false},
+		{"loosePairSym", []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}, false, true},
+		{"tight", []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}, false, false},
+		{"tightBounded", []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}, true, false},
+		{"S2", caseProfiles(t, "C6", "C2"), false, false},
+		{"S2bounded", caseProfiles(t, "C6", "C2"), true, false},
+		{"S1prefix", caseProfiles(t, "C1", "C5", "C4"), false, false},
+		{"S1prefixBounded", caseProfiles(t, "C1", "C5", "C4"), true, false},
+		{"rejected", caseProfiles(t, "C1", "C5", "C4", "C6"), false, false},
+		{"rejectedBounded", caseProfiles(t, "C1", "C5", "C4", "C6"), true, false},
+		{"quadSym", fleet(4, 6, 1, 2, 10), false, true},
+		// Wide (multi-word) encoding.
+		{"overload7", fleet(7, 2, 1, 2, 5), false, false},
+		{"overload7Bounded", fleet(7, 2, 1, 2, 5), true, false},
+		{"overload12", fleet(12, 1, 1, 2, 6), false, false},
+		{"fleet7", fleet(7, 6, 1, 2, 10), false, true},
+		{"fleet9", fleet(9, 8, 1, 2, 9), false, true},
+		{"mixed7", append(fleet(6, 7, 1, 2, 8), prof("X", 4, 2, 3, 12)), false, true},
+		{"fleet6Bounded", fleet(6, 6, 1, 2, 10), true, true},
 	}
 	for _, tc := range cases {
-		cfg := Config{NondetTies: true}
-		if tc.bounded {
-			cfg.MaxDisturbances = BoundFor(tc.ps)
-		}
-		cfg.Workers = 1
-		seq, err := Slot(tc.ps, cfg)
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", tc.name, err)
-		}
-		var par [2]Result
-		for wi, workers := range []int{2, 8} {
-			cfg.Workers = workers
-			p, err := Slot(tc.ps, cfg)
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{NondetTies: true, SymmetryReduction: tc.sym}
+			if tc.bounded {
+				cfg.MaxDisturbances = min(BoundFor(tc.ps), 1<<cntBits-1)
+			}
+			cfg.Workers = 1
+			seq, err := Slot(tc.ps, cfg)
 			if err != nil {
-				t.Fatalf("%s: workers=%d: %v", tc.name, workers, err)
+				t.Fatalf("sequential: %v", err)
 			}
-			par[wi] = p
-			if p.Schedulable != seq.Schedulable {
-				t.Errorf("%s: workers=%d schedulable=%v, sequential=%v",
-					tc.name, workers, p.Schedulable, seq.Schedulable)
-			}
-			if seq.Schedulable {
-				if p.States != seq.States || p.Transitions != seq.Transitions || p.Depth != seq.Depth {
-					t.Errorf("%s: workers=%d counts (%d,%d,%d), sequential (%d,%d,%d)",
-						tc.name, workers, p.States, p.Transitions, p.Depth,
-						seq.States, seq.Transitions, seq.Depth)
+			violator := -1
+			for _, workers := range []int{2, 3, 8, 0} {
+				cfg.Workers = workers
+				p, err := Slot(tc.ps, cfg)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if p.Schedulable != seq.Schedulable {
+					t.Errorf("workers=%d schedulable=%v, sequential=%v", workers, p.Schedulable, seq.Schedulable)
+				}
+				if seq.Schedulable {
+					if p.States != seq.States || p.Transitions != seq.Transitions || p.Depth != seq.Depth {
+						t.Errorf("workers=%d counts (%d,%d,%d), sequential (%d,%d,%d)",
+							workers, p.States, p.Transitions, p.Depth,
+							seq.States, seq.Transitions, seq.Depth)
+					}
+					continue
+				}
+				// Workers 0 may resolve to a single lane — the sequential
+				// search, whose violator is the first found, not the minimum.
+				if workers == 0 {
+					continue
+				}
+				if violator < 0 {
+					violator = p.Violator
+				} else if p.Violator != violator {
+					t.Errorf("violator differs across worker counts: %d vs %d", violator, p.Violator)
 				}
 			}
-		}
-		// The parallel verdict and violator are deterministic across worker
-		// counts (minimum violating packed state, independent of ordering).
-		if !seq.Schedulable && par[0].Violator != par[1].Violator {
-			t.Errorf("%s: violator differs across worker counts: %d vs %d",
-				tc.name, par[0].Violator, par[1].Violator)
-		}
+		})
 	}
 }
 

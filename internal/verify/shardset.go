@@ -48,17 +48,16 @@ const (
 	lfBusy = 1
 )
 
-// SetStats is the cumulative contention ledger of one sharded set. Deltas
-// are sampled by the drivers at level boundaries (the autotuner's signal)
-// and folded into the obs counters at run teardown; the distributed workers
-// read it through StateSet.Stats.
+// SetStats is the cumulative contention ledger of one sharded set, folded
+// into the obs counters at run teardown; the distributed workers read it
+// through StateSet.Stats.
 type SetStats struct {
 	Probes    int64 // probe steps beyond the home slot
 	Retries   int64 // lost CAS claims
 	Overflows int64 // keys parked in an overflow map
 }
 
-// shardedU64Set is a 64-way striped, lock-free variant of u64Set.
+// shardedU64Set is a 64-way striped, lock-free variant of stateSet[uint64].
 type shardedU64Set struct {
 	stripes [numShards]lfU64Stripe
 }

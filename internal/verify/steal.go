@@ -94,6 +94,6 @@ func (q *WorkQueue) Next(lane int) (lo, hi int, ok bool) {
 }
 
 // Steals returns the number of chunks claimed from a foreign partition since
-// the queue was created. Read at level boundaries by the autotuner and the
-// bench harness; monotone across Resets.
+// the queue was created, for the contention telemetry; monotone across
+// Resets.
 func (q *WorkQueue) Steals() int64 { return q.steals.Load() }

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"unsafe"
 
 	"tightcps/internal/obs"
 	"tightcps/internal/sched"
@@ -86,11 +87,9 @@ type Config struct {
 	// search path regardless of Workers.
 	Trace bool
 	// Workers bounds the goroutines expanding the BFS frontier. 0 means
-	// auto: a pool of GOMAXPROCS lanes whose active count a contention-
-	// aware tuner adapts level to level (LaneTuner); 1 forces the
-	// sequential search. The parallel search
-	// shards the visited set 64-way by state hash and synchronises at
-	// level boundaries; it visits exactly the same state space, so the
+	// GOMAXPROCS lanes; 1 forces the sequential search. The parallel
+	// search shards the visited set 64-way by state hash and synchronises
+	// at level boundaries; it visits exactly the same state space, so the
 	// verdict — and, for schedulable sets, States/Transitions/Depth — is
 	// identical to the sequential path. Small levels are expanded
 	// serially either way, so single-app checks do not regress.
@@ -406,19 +405,12 @@ func (v *Verifier) unpack(s uint64, c *cstate) {
 	c.cT = uint8(s >> v.ctShift & 0xF)
 }
 
-// initial returns the all-Steady, slot-idle state.
-func (v *Verifier) initial() uint64 {
-	var c cstate
-	c.occ = -1
-	return v.pack(&c)
-}
-
 // expandScratch owns every buffer the expansion core writes through: the
 // decoded base state, the successor arena (states plus the disturbance
 // bitmask that produced each) and the fixed-size index buffers of the
 // scheduling helpers. Each search goroutine owns exactly one scratch —
-// the sequential drivers keep one on the stack, every parallel BFS worker
-// and every distributed node embeds its own — so the hot path performs no
+// the sequential driver holds one, every parallel BFS worker and every
+// distributed node embeds its own — so the hot path performs no
 // allocation once the arena has grown to the verifier's maximum fanout
 // (TestExpansionCoreAllocFree gates this).
 type expandScratch struct {
@@ -627,36 +619,6 @@ func (v *Verifier) expandGrouped(base *cstate, elig []int8, sc *expandScratch) i
 	}
 }
 
-// successors expands one narrow-packed state through sc, appending the
-// resulting packed states to out. choices records, parallel to out, the
-// disturbance subset (bitmask) that produced each successor. The returned
-// violator index is −1 when every disturbance choice stays safe; on a
-// violation out and choices carry no new entries.
-func (v *Verifier) successors(s uint64, sc *expandScratch, out []uint64, choices []uint32) ([]uint64, []uint32, int) {
-	v.unpack(s, &sc.base)
-	if viol := v.expand(&sc.base, sc); viol >= 0 {
-		return out, choices, viol
-	}
-	for i := range sc.states {
-		out = append(out, v.pack(&sc.states[i]))
-	}
-	choices = append(choices, sc.masks...)
-	return out, choices, -1
-}
-
-// successorsWide is successors over the multi-word encoding.
-func (v *Verifier) successorsWide(s wstate, sc *expandScratch, out []wstate, choices []uint32) ([]wstate, []uint32, int) {
-	v.unpackWide(s, &sc.base)
-	if viol := v.expand(&sc.base, sc); viol >= 0 {
-		return out, choices, viol
-	}
-	for i := range sc.states {
-		out = append(out, v.packWide(&sc.states[i]))
-	}
-	choices = append(choices, sc.masks...)
-	return out, choices, -1
-}
-
 // schedule applies eviction, granting and the deadline check to c,
 // appending the possible post-scheduling states (more than one only with
 // nondeterministic tie-breaking) to sc's arena, each paired with the
@@ -817,7 +779,8 @@ func (v *Verifier) Run() (Result, error) {
 	return res, err
 }
 
-// dispatch routes the run to the distributed hook or a local driver.
+// dispatch routes the run to the distributed hook or a local driver,
+// instantiated for the verifier's encoding.
 func (v *Verifier) dispatch() (Result, error) {
 	if v.cfg.Distributed != nil {
 		cfg := v.cfg
@@ -825,20 +788,19 @@ func (v *Verifier) dispatch() (Result, error) {
 		return v.cfg.Distributed(v.profs, cfg)
 	}
 	workers := v.cfg.Workers
-	auto := workers <= 0
-	if auto {
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if v.wide {
-		if workers == 1 || v.cfg.Trace {
-			return v.runSequentialWide()
-		}
-		return v.runParallelWide(workers, auto)
+	sequential := workers == 1 || v.cfg.Trace
+	switch {
+	case v.wide && sequential:
+		return runSequential[wstate](v, wideCodec{v})
+	case v.wide:
+		return runParallel[wstate](v, wideCodec{v}, newShardedWideSet(1<<12), workers)
+	case sequential:
+		return runSequential[uint64](v, narrowCodec{v})
 	}
-	if workers == 1 || v.cfg.Trace {
-		return v.runSequential()
-	}
-	return v.runParallel(workers, auto)
+	return runParallel[uint64](v, narrowCodec{v}, newShardedU64Set(1<<16), workers)
 }
 
 // levelReserve estimates how many fresh states the coming level will
@@ -861,22 +823,21 @@ func levelReserve(frontier, prevFrontier int) int {
 // insertion order and the search stops at the first violation encountered.
 // The frontier slices and the expansion scratch are recycled across levels,
 // so the steady-state loop allocates only when the visited set grows.
-func (v *Verifier) runSequential() (Result, error) {
+func runSequential[S state](v *Verifier, c codec[S]) (Result, error) {
 	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
-	visited := newU64Set(1 << 16)
-	init := v.initial()
+	init := initialState(c)
+	visited := newStateSet[S](initialSetBytes / int(unsafe.Sizeof(init)))
 	visited.add(init)
-	frontier := []uint64{init}
-	var next []uint64 // recycled: swapped with frontier at every level
-	var parents map[uint64]parentEdge
+	frontier := []S{init}
+	var next []S // recycled: swapped with frontier at every level
+	var parents map[S]parentEdge[S]
 	if v.cfg.Trace {
-		parents = map[uint64]parentEdge{}
+		parents = map[S]parentEdge[S]{}
 	}
 	res.States = 1
 
 	var sc expandScratch
-	var succBuf []uint64
-	var choiceBuf []uint32
+	var succ []hashed[S]
 	prevFrontier := 1
 	for depth := 0; len(frontier) > 0; depth++ {
 		res.Depth = depth
@@ -885,28 +846,27 @@ func (v *Verifier) runSequential() (Result, error) {
 		visited.reserve(levelReserve(len(frontier), prevFrontier))
 		next = next[:0]
 		for _, s := range frontier {
-			succBuf = succBuf[:0]
-			choiceBuf = choiceBuf[:0]
 			var viol int
-			succBuf, choiceBuf, viol = v.successors(s, &sc, succBuf, choiceBuf)
+			succ, viol = c.successors(s, &sc, succ[:0])
 			if viol >= 0 {
 				res.Schedulable = false
 				res.Violator = viol
 				if v.cfg.Trace {
-					res.Counterexample = v.rebuildTrace(parents, s, init)
+					res.Counterexample = v.traceFromMasks(rebuildTrace(parents, s, init))
 				}
 				v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
 				return res, nil
 			}
-			res.Transitions += len(succBuf)
-			for i, ns := range succBuf {
-				if visited.add(ns) {
+			res.Transitions += len(succ)
+			for i, hs := range succ {
+				ns := hs.s
+				if visited.addHashed(ns, hs.h) {
 					res.States++
 					if res.States > v.cfg.MaxStates {
 						return res, ErrTooLarge
 					}
 					if v.cfg.Trace {
-						parents[ns] = parentEdge{prev: s, disturbed: choiceBuf[i]}
+						parents[ns] = parentEdge[S]{prev: s, disturbed: sc.masks[i]}
 					}
 					next = append(next, ns)
 				}
@@ -919,82 +879,22 @@ func (v *Verifier) runSequential() (Result, error) {
 	return res, nil
 }
 
-// runSequentialWide mirrors runSequential over the multi-word encoding.
-func (v *Verifier) runSequentialWide() (Result, error) {
-	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
-	visited := newWideSet(1 << 12)
-	init := v.initialWide()
-	visited.add(init)
-	frontier := []wstate{init}
-	var next []wstate // recycled: swapped with frontier at every level
-	var parents map[wstate]parentEdgeWide
-	if v.cfg.Trace {
-		parents = map[wstate]parentEdgeWide{}
-	}
-	res.States = 1
+// initialSetBytes sizes a sequential search's visited table before its
+// first level: 2^16 narrow slots, 2^14 wide ones.
+const initialSetBytes = 1 << 19
 
-	var sc expandScratch
-	var succBuf []wstate
-	var choiceBuf []uint32
-	prevFrontier := 1
-	for depth := 0; len(frontier) > 0; depth++ {
-		res.Depth = depth
-		obsLevels.Inc()
-		levelTrans := res.Transitions
-		visited.reserve(levelReserve(len(frontier), prevFrontier))
-		next = next[:0]
-		for _, s := range frontier {
-			succBuf = succBuf[:0]
-			choiceBuf = choiceBuf[:0]
-			var viol int
-			succBuf, choiceBuf, viol = v.successorsWide(s, &sc, succBuf, choiceBuf)
-			if viol >= 0 {
-				res.Schedulable = false
-				res.Violator = viol
-				if v.cfg.Trace {
-					res.Counterexample = v.rebuildTraceWide(parents, s, init)
-				}
-				v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
-				return res, nil
-			}
-			res.Transitions += len(succBuf)
-			for i, ns := range succBuf {
-				if visited.add(ns) {
-					res.States++
-					if res.States > v.cfg.MaxStates {
-						return res, ErrTooLarge
-					}
-					if v.cfg.Trace {
-						parents[ns] = parentEdgeWide{prev: s, disturbed: choiceBuf[i]}
-					}
-					next = append(next, ns)
-				}
-			}
-		}
-		v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
-		prevFrontier = len(frontier)
-		frontier, next = next, frontier
-	}
-	return res, nil
-}
-
-type parentEdge struct {
-	prev      uint64
-	disturbed uint32
-}
-
-type parentEdgeWide struct {
-	prev      wstate
+// parentEdge records how a traced search first reached a state.
+type parentEdge[S state] struct {
+	prev      S
 	disturbed uint32
 }
 
 // rebuildTrace walks parent pointers from the state whose expansion
 // violated the deadline back to the initial state, returning the
-// disturbance schedule (step k → apps disturbed at sample k). The final
-// adversarial step that triggers the miss during expansion of `last` is not
-// in the parent map; the violation occurs one sample after the returned
-// schedule ends.
-func (v *Verifier) rebuildTrace(parents map[uint64]parentEdge, last, init uint64) [][]int {
+// disturbance masks latest first. The final adversarial step that triggers
+// the miss during expansion of `last` is not in the parent map; the
+// violation occurs one sample after the schedule ends.
+func rebuildTrace[S state](parents map[S]parentEdge[S], last, init S) []uint32 {
 	var rev []uint32
 	for s := last; s != init; {
 		e, ok := parents[s]
@@ -1004,21 +904,7 @@ func (v *Verifier) rebuildTrace(parents map[uint64]parentEdge, last, init uint64
 		rev = append(rev, e.disturbed)
 		s = e.prev
 	}
-	return v.traceFromMasks(rev)
-}
-
-// rebuildTraceWide is rebuildTrace over the multi-word encoding.
-func (v *Verifier) rebuildTraceWide(parents map[wstate]parentEdgeWide, last, init wstate) [][]int {
-	var rev []uint32
-	for s := last; s != init; {
-		e, ok := parents[s]
-		if !ok {
-			break
-		}
-		rev = append(rev, e.disturbed)
-		s = e.prev
-	}
-	return v.traceFromMasks(rev)
+	return rev
 }
 
 // traceFromMasks converts a reversed list of disturbance bitmasks into the

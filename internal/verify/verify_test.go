@@ -307,7 +307,7 @@ func TestBoundFor(t *testing.T) {
 }
 
 func TestU64Set(t *testing.T) {
-	s := newU64Set(4)
+	s := newStateSet[uint64](4)
 	keys := []uint64{1, 2, 3, 0xFFFFFFFFFFFFFFFF, 42, 1 << 40}
 	for _, k := range keys {
 		if !s.add(k) {
@@ -361,5 +361,5 @@ func TestU64SetZeroKeyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	newU64Set(4).add(0)
+	newStateSet[uint64](4).add(0)
 }

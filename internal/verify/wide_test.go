@@ -167,55 +167,6 @@ func TestWideSevenAppSlot(t *testing.T) {
 	}
 }
 
-// TestWideParallelMatchesSequential covers the n > 6 verdict-equivalence
-// requirement on quickly-deciding sets without the symmetry quotient: the
-// wide parallel search must return the sequential verdict, and identical
-// counts on exhaustively-searched (schedulable) sets.
-func TestWideParallelMatchesSequential(t *testing.T) {
-	cases := []struct {
-		name string
-		ps   []*switching.Profile
-		sym  bool
-	}{
-		{"overload7", fleet(7, 2, 1, 2, 5), false},
-		{"overload12", fleet(12, 1, 1, 2, 6), false},
-		{"fleet7", fleet(7, 6, 1, 2, 10), true},
-		{"fleet9", fleet(9, 8, 1, 2, 9), true},
-		{"mixed7", append(fleet(6, 7, 1, 2, 8), prof("X", 4, 2, 3, 12)), true},
-	}
-	for _, tc := range cases {
-		cfg := Config{NondetTies: true, SymmetryReduction: tc.sym, Workers: 1}
-		seq, err := Slot(tc.ps, cfg)
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", tc.name, err)
-		}
-		var par [2]Result
-		for wi, workers := range []int{2, 8} {
-			cfg.Workers = workers
-			p, err := Slot(tc.ps, cfg)
-			if err != nil {
-				t.Fatalf("%s: workers=%d: %v", tc.name, workers, err)
-			}
-			par[wi] = p
-			if p.Schedulable != seq.Schedulable {
-				t.Errorf("%s: workers=%d schedulable=%v, sequential=%v",
-					tc.name, workers, p.Schedulable, seq.Schedulable)
-			}
-			if seq.Schedulable {
-				if p.States != seq.States || p.Transitions != seq.Transitions || p.Depth != seq.Depth {
-					t.Errorf("%s: workers=%d counts (%d,%d,%d), sequential (%d,%d,%d)",
-						tc.name, workers, p.States, p.Transitions, p.Depth,
-						seq.States, seq.Transitions, seq.Depth)
-				}
-			}
-		}
-		if !seq.Schedulable && par[0].Violator != par[1].Violator {
-			t.Errorf("%s: violator differs across worker counts: %d vs %d",
-				tc.name, par[0].Violator, par[1].Violator)
-		}
-	}
-}
-
 // TestSymmetryReductionSound cross-checks the quotient against the full
 // state space on sets small enough to explore both ways: the verdict must
 // match, and the quotient must never visit more states.
@@ -295,13 +246,13 @@ func TestWideSetZeroKeyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	newWideSet(4).add(wstate{})
+	newStateSet[wstate](4).add(wstate{})
 }
 
 // TestWideSetGrowth exercises the multi-word open-addressing set through
 // several rehashes against a reference map.
 func TestWideSetGrowth(t *testing.T) {
-	s := newWideSet(4)
+	s := newStateSet[wstate](4)
 	ref := map[wstate]bool{}
 	mk := func(i int) wstate {
 		return wstate{uint64(i)*0x9e3779b97f4a7c15 + 1, uint64(i), uint64(i % 7), uint64(i % 3)}

@@ -59,13 +59,6 @@ func (v *Verifier) unpackWide(s wstate, c *cstate) {
 	c.cT = uint8(h >> 8 & 0xF)
 }
 
-// initialWide returns the all-Steady, slot-idle state in the wide encoding.
-func (v *Verifier) initialWide() wstate {
-	var c cstate
-	c.occ = -1
-	return v.packWide(&c)
-}
-
 // hashW chains the splitmix64 finalizer across the words, so every bit of
 // every word diffuses into the shard selector and the probe index.
 func hashW(s wstate) uint64 {
@@ -77,7 +70,7 @@ func hashW(s wstate) uint64 {
 }
 
 // lessW orders wide states lexicographically (word 0 most significant) —
-// the total order behind the parallel search's minimum-violator tie-break.
+// the order lessState and LessState apply to every encoding.
 func lessW(a, b wstate) bool {
 	for i := 0; i < wideWords; i++ {
 		if a[i] != b[i] {
