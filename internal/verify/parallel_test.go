@@ -10,44 +10,52 @@ import (
 	"tightcps/internal/switching"
 )
 
-// TestParallelMatchesSequential is the one equivalence table of the local
-// drivers: on narrow and wide slots, exact and bounded, with and without
-// the symmetry quotient, every worker count — including 0, the GOMAXPROCS
-// pool — must return the sequential verdict, and on schedulable sets
-// (exhaustive search) the exact same state/transition/depth counts. The
-// parallel violator is the minimum violating packed state, so it must
-// agree across explicit multi-lane worker counts.
-func TestParallelMatchesSequential(t *testing.T) {
-	cases := []struct {
-		name    string
-		ps      []*switching.Profile
-		bounded bool
-		sym     bool // only on slots with identical applications
-	}{
+// parallelCase is one row of the local-driver equivalence table.
+type parallelCase struct {
+	name    string
+	ps      []*switching.Profile
+	wide    bool // multi-word encoding
+	bounded bool
+	sym     bool // only on slots with identical applications
+}
+
+// parallelCases is the one equivalence table of the local drivers: narrow
+// and wide slots, exact and bounded, with and without the symmetry quotient.
+func parallelCases(t *testing.T) []parallelCase {
+	return []parallelCase{
 		// Narrow (one-word) encoding.
-		{"single", []*switching.Profile{prof("A", 5, 2, 4, 20)}, false, false},
-		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}, false, false},
-		{"overloadSym", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}, false, true},
-		{"loosePair", []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}, false, false},
-		{"loosePairSym", []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}, false, true},
-		{"tight", []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}, false, false},
-		{"tightBounded", []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}, true, false},
-		{"S2", caseProfiles(t, "C6", "C2"), false, false},
-		{"S2bounded", caseProfiles(t, "C6", "C2"), true, false},
-		{"S1prefix", caseProfiles(t, "C1", "C5", "C4"), false, false},
-		{"S1prefixBounded", caseProfiles(t, "C1", "C5", "C4"), true, false},
-		{"rejected", caseProfiles(t, "C1", "C5", "C4", "C6"), false, false},
-		{"rejectedBounded", caseProfiles(t, "C1", "C5", "C4", "C6"), true, false},
-		{"quadSym", fleet(4, 6, 1, 2, 10), false, true},
+		{"single", []*switching.Profile{prof("A", 5, 2, 4, 20)}, false, false, false},
+		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}, false, false, false},
+		{"overloadSym", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}, false, false, true},
+		{"loosePair", []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}, false, false, false},
+		{"loosePairSym", []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}, false, false, true},
+		{"tight", []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}, false, false, false},
+		{"tightBounded", []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}, false, true, false},
+		{"S2", caseProfiles(t, "C6", "C2"), false, false, false},
+		{"S2bounded", caseProfiles(t, "C6", "C2"), false, true, false},
+		{"S1prefix", caseProfiles(t, "C1", "C5", "C4"), false, false, false},
+		{"S1prefixBounded", caseProfiles(t, "C1", "C5", "C4"), false, true, false},
+		{"rejected", caseProfiles(t, "C1", "C5", "C4", "C6"), false, false, false},
+		{"rejectedBounded", caseProfiles(t, "C1", "C5", "C4", "C6"), false, true, false},
+		{"quadSym", fleet(4, 6, 1, 2, 10), false, false, true},
 		// Wide (multi-word) encoding.
-		{"overload7", fleet(7, 2, 1, 2, 5), false, false},
-		{"overload7Bounded", fleet(7, 2, 1, 2, 5), true, false},
-		{"overload12", fleet(12, 1, 1, 2, 6), false, false},
-		{"fleet7", fleet(7, 6, 1, 2, 10), false, true},
-		{"fleet9", fleet(9, 8, 1, 2, 9), false, true},
-		{"mixed7", append(fleet(6, 7, 1, 2, 8), prof("X", 4, 2, 3, 12)), false, true},
-		{"fleet6Bounded", fleet(6, 6, 1, 2, 10), true, true},
+		{"overload7", fleet(7, 2, 1, 2, 5), true, false, false},
+		{"overload7Bounded", fleet(7, 2, 1, 2, 5), true, true, false},
+		{"overload12", fleet(12, 1, 1, 2, 6), true, false, false},
+		{"fleet7", fleet(7, 6, 1, 2, 10), true, false, true},
+		{"fleet9", fleet(9, 8, 1, 2, 9), true, false, true},
+		{"mixed7", append(fleet(6, 7, 1, 2, 8), prof("X", 4, 2, 3, 12)), true, false, true},
+		{"fleet6Bounded", fleet(6, 6, 1, 2, 10), true, true, true},
 	}
+}
+
+// checkMatchesSequential runs each row with Workers 1 as the reference and
+// then with every given worker count: each must return the sequential
+// verdict, and on schedulable sets (exhaustive search) the exact same
+// state/transition/depth counts. The parallel violator is the minimum
+// violating packed state, so it must agree across explicit multi-lane
+// worker counts.
+func checkMatchesSequential(t *testing.T, cases []parallelCase, workerCounts []int) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{NondetTies: true, SymmetryReduction: tc.sym}
@@ -60,7 +68,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("sequential: %v", err)
 			}
 			violator := -1
-			for _, workers := range []int{2, 3, 8, 0} {
+			for _, workers := range workerCounts {
 				cfg.Workers = workers
 				p, err := Slot(tc.ps, cfg)
 				if err != nil {
@@ -90,6 +98,35 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// casesWhere keeps the rows of one encoding.
+func casesWhere(cases []parallelCase, wide bool) []parallelCase {
+	var out []parallelCase
+	for _, tc := range cases {
+		if tc.wide == wide {
+			out = append(out, tc)
+		}
+	}
+	return out
+}
+
+// TestParallelMatchesSequential: the narrow rows of the table with 2, 3
+// and 8 workers.
+func TestParallelMatchesSequential(t *testing.T) {
+	checkMatchesSequential(t, casesWhere(parallelCases(t), false), []int{2, 3, 8})
+}
+
+// TestWideParallelMatchesSequential: the wide rows of the table with 2, 3
+// and 8 workers.
+func TestWideParallelMatchesSequential(t *testing.T) {
+	checkMatchesSequential(t, casesWhere(parallelCases(t), true), []int{2, 3, 8})
+}
+
+// TestAutoWorkersMatchesSequential: every row of the table with Workers 0,
+// the GOMAXPROCS pool.
+func TestAutoWorkersMatchesSequential(t *testing.T) {
+	checkMatchesSequential(t, parallelCases(t), []int{0})
 }
 
 // TestParallelFullSlotS1 runs the paper's hardest verification in parallel
